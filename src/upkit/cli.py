@@ -12,55 +12,37 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .components import (
-    CharFn,
-    block_structure,
-    canonical_subgroup,
-    char_group,
-    char_group_order,
-)
+from .components import CharFn, block_structure, canonical_subgroup, char_group_order
 from .errors import UpkitError
-from .moeglin import arthur_character, merge_chain, tempered_intersection
-from .params import (
-    near_tempered_table,
-    packets_containing,
-    verify_almost_intro,
-    weak_packet,
-)
+from .params import near_tempered_table, packets_containing, weak_packet
 from .partitions import (
+    DEFAULT_ENUMERATION_BOUND,
     ClassPartition,
     GroupType,
     Partition,
     classify,
     enumerate_classes,
 )
-from .pieces import T_up, bvls_dual, is_special, piece_data, special_closure, special_piece
+from .pieces import bvls_dual, special_piece
 from .springer import (
     defect,
-    delta_tau,
     gamma_seq,
-    green_tableaux,
-    is_springer_type,
-    leq_dominance,
-    p_set,
     springer_bipartition,
     springer_data,
-    weakly_spherical,
     weakly_spherical_general,
 )
-from .wreps import bipartitions_of, e_rep, induce_table, invariant_dim, oracle_mult
+from .verify import SUITES, VerificationFailed, plan, run_cell, skip_reason
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
 
-DEFAULT_MAX_N = 60
-
-SUITES = ("dprop", "spc", "js", "almost", "firstrow", "theoremC", "oracle")
+DEFAULT_MAX_N = DEFAULT_ENUMERATION_BOUND
 
 
 @dataclass(frozen=True)
@@ -261,144 +243,6 @@ def cmd_sphericity(q: QuerySpec, args) -> int:
 # ------------------------------------------------------------ verification
 
 
-def _pure_good_parity(gt: GroupType):
-    return (cp for cp in enumerate_classes(gt) if not cp.bp)
-
-
-def _check_dprop(gt: GroupType) -> int:
-    checked = 0
-    fibers: dict[ClassPartition, set[ClassPartition]] = {}
-    for cp in enumerate_classes(gt):
-        d = bvls_dual(cp)
-        assert is_special(d), f"d({cp.lam.to_text()}) not special"
-        back = bvls_dual(d)
-        assert back == special_closure(cp)
-        assert back == T_up(cp, block_structure(cp).I_set)
-        fibers.setdefault(d, set()).add(cp)
-        checked += 1
-    for image, fiber in fibers.items():
-        top = bvls_dual(image)
-        assert fiber == {mu for _, mu in special_piece(top)}, (
-            f"fiber over {image.lam.to_text()} is not the special piece"
-        )
-    return checked
-
-
-def _check_spc(gt: GroupType) -> int:
-    checked = 0
-    for cp in enumerate_classes(gt):
-        piece = special_piece(cp)
-        assert len(piece) == 2 ** len(piece_data(cp).J), cp.lam.to_text()
-        checked += 1
-    return checked
-
-
-def _check_js(gt: GroupType) -> int:
-    checked = 0
-    for cp in enumerate_classes(gt):
-        J_all = sorted(block_structure(cp).J_set)
-        zs = (1,) if gt.s == 1 else (1, -1)
-        subsets = [frozenset()] + [
-            frozenset(J_all[i] for i in range(len(J_all)) if mask >> i & 1)
-            for mask in range(1, 1 << len(J_all))
-        ]
-        for J in subsets:
-            for z in zs:
-                target = near_tempered_table(cp, J, z)
-                inside = set(tempered_intersection(cp, z, J))
-                for eps in char_group(cp):
-                    if eps not in inside:
-                        continue
-                    m, ao, p = merge_chain(cp, eps, J, z)
-                    assert m == target
-                    ch = arthur_character(ao, p)
-                    for i in m.gp_indices():
-                        a, b = m.entries[i]
-                        if b == 1:  # untouched entry keeps its sign
-                            assert p.eta_of(i) == eps.sign(a)
-                            assert ch.indicator((a, 1)) == eps.indicator(a)
-                        else:  # merged entry: eta = (-1)^eps(a-1)
-                            low = eps.indicator(a - 1) if a > 1 else 0
-                            assert p.eta_of(i) == (-1) ** low
-                    checked += 1
-    return checked
-
-
-def _check_almost(gt: GroupType) -> int:
-    checked = 0
-    for cp in enumerate_classes(gt):
-        report = verify_almost_intro(cp)
-        assert report.ok, cp.lam.to_text()
-        assert len(report.found) == len(special_piece(cp))
-        checked += 1
-    return checked
-
-
-def _check_firstrow(gt: GroupType) -> int:
-    checked = 0
-    for cp in _pure_good_parity(gt):
-        dt = delta_tau(gt)
-        for eps in char_group(cp):
-            sd = springer_data(cp, eps)
-            if not is_springer_type(sd):
-                continue
-            tabs = green_tableaux(sd, *dt)
-            for t in tabs:
-                rest = tuple(
-                    sorted(set(range(1, sd.ell + 1)) - set(t.rows[0]))
-                )
-                assert rest == sd.X_eps, (cp.lam.to_text(), sorted(eps.subset))
-            ps = {t.bipartition for t in tabs}
-            for x in ps:
-                for y in ps:
-                    if x != y:
-                        assert not leq_dominance(x, y, *dt)
-            checked += 1
-    return checked
-
-
-def _check_theoremC(gt: GroupType) -> int:
-    checked = 0
-    for cp in _pure_good_parity(gt):
-        adag = set(canonical_subgroup(cp))
-        for eps in char_group(cp):
-            sd = springer_data(cp, eps)
-            assert weakly_spherical(sd) == (eps in adag), (
-                cp.lam.to_text(),
-                sorted(eps.subset),
-            )
-            checked += 1
-    return checked
-
-
-def _check_oracle(n: int) -> int:
-    checked = 0
-    for i in range(n + 1):
-        for x in bipartitions_of(i):
-            for y in bipartitions_of(n - i):
-                assert oracle_mult(x, y) == induce_table(x, y), (x, y)
-                checked += 1
-    # fixed vectors under W_{n,i}: formula vs induced-trivial brute force
-    for i in range(n + 1):
-        brute = oracle_mult(e_rep(1, i, 0), e_rep(1, n - i, 0))
-        for pi in bipartitions_of(n):
-            assert invariant_dim(pi, i) == brute.get(pi, 0), (pi, i)
-            checked += 1
-    return checked
-
-
-_PARTITION_SUITES = {
-    "dprop": _check_dprop,
-    "spc": _check_spc,
-    "js": _check_js,
-    "almost": _check_almost,
-    "firstrow": _check_firstrow,
-    "theoremC": _check_theoremC,
-}
-
-ORACLE_CAP = 5
-
-
 def _verify_cell(cell: tuple[str, int, int]) -> dict:
     suite, s, N = cell
     record = {
@@ -407,55 +251,48 @@ def _verify_cell(cell: tuple[str, int, int]) -> dict:
         "record": "check",
         "suite": suite,
     }
+    reason = skip_reason(suite, N)
+    if reason is not None:
+        record.update(checked=0, reason=reason, status="skip")
+        return record
     try:
-        if suite == "oracle":
-            record["checked"] = _check_oracle(N)
-        else:
-            record["checked"] = _PARTITION_SUITES[suite](GroupType(s, N))
+        record["checked"] = run_cell(suite, s, N)
         record["status"] = "pass"
-    except AssertionError as exc:
+    except VerificationFailed as exc:
         record["checked"] = 0
         record["status"] = "fail"
         record["detail"] = str(exc)
     return record
 
 
-def _verify_cells(suites, max_n: int) -> list[tuple[str, int, int]]:
-    cells = []
-    for suite in suites:
-        if suite == "oracle":
-            cells.extend(("oracle", 0, n) for n in range(min(max_n, ORACLE_CAP) + 1))
-            continue
-        for N in range(1, max_n + 1):
-            s = 1 if N % 2 else -1
-            cells.append((suite, s, N))
-    return cells
-
-
 def cmd_verify(args) -> int:
     if args.maxN > _max_n_cap():
         return _fail(EXIT_USAGE, f"maxN={args.maxN} exceeds UPKIT_MAX_N cap")
     suites = list(SUITES) if args.suite == "all" else [args.suite]
-    cells = _verify_cells(suites, args.maxN)
+    cells = plan(suites, args.maxN)
+    statuses = Counter()
+
+    def emit_each(records):
+        # map and pool.map both yield in submission order
+        for record in records:
+            statuses[record["status"]] += 1
+            _emit(record, args.pretty)
+
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_verify_cell, cells))
+            emit_each(pool.map(_verify_cell, cells))
     else:
-        records = [_verify_cell(cell) for cell in cells]
-    failed = False
-    for record in records:
-        failed = failed or record["status"] == "fail"
-        _emit(record, args.pretty)
-    _emit(
-        {
-            "maxN": args.maxN,
-            "record": "summary",
-            "status": "fail" if failed else "pass",
-            "suites": suites,
-        },
-        args.pretty,
-    )
-    return EXIT_VERIFY if failed else EXIT_OK
+        emit_each(map(_verify_cell, cells))
+    summary = {
+        "maxN": args.maxN,
+        "record": "summary",
+        "status": "fail" if statuses["fail"] else "pass",
+        "suites": suites,
+    }
+    if statuses["skip"]:
+        summary["skipped"] = statuses["skip"]
+    _emit(summary, args.pretty)
+    return EXIT_VERIFY if statuses["fail"] else EXIT_OK
 
 
 # -------------------------------------------------------------- the parser

@@ -21,7 +21,6 @@ module consumes:
   ascending; always a subset of ``S``.
 """
 
-import functools
 import itertools
 
 from .errors import BoundExceeded, NotContained, ParityViolation, WrongTotal
@@ -339,8 +338,3 @@ def enumerate_classes(gt, bound=DEFAULT_ENUMERATION_BOUND):
         except ParityViolation:
             continue
     return result
-
-
-@functools.lru_cache(maxsize=None)
-def _class_count(s, N):
-    return len(enumerate_classes(GroupType(s, N)))

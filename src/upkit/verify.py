@@ -1,0 +1,266 @@
+"""The property suites: exhaustive checks of the paper's identities.
+
+Each ``check_*`` function runs one suite over every class of one group
+type (the oracle checks: over every pair of total degree n) and returns
+the number of checks it made.  A failed check raises
+:class:`VerificationFailed`, whose message names the offending input.
+``upkit verify`` runs the suites cell by cell from :func:`plan`; the
+acceptance tests call the same functions at their own bounds.
+
+Only the check bodies live here.  The two routes each check compares
+(block structure against tableaux, brute force against the piece cube,
+LR against the W_n oracle) stay in separate modules that share no code.
+"""
+
+from __future__ import annotations
+
+from .components import block_structure, canonical_subgroup, char_group
+from .moeglin import arthur_character, merge_chain, tempered_intersection
+from .params import ENUM_BOUND, near_tempered_table, verify_almost_intro
+from .partitions import DEFAULT_ENUMERATION_BOUND, GroupType, enumerate_classes
+from .pieces import T_up, bvls_dual, is_special, piece_data, special_closure, special_piece
+from .springer import (
+    delta_tau,
+    green_tableaux,
+    is_springer_type,
+    leq_dominance,
+    springer_data,
+    weakly_spherical,
+)
+from .wreps import bipartitions_of, e_rep, induce_table, invariant_dim, oracle_mult
+
+
+class VerificationFailed(AssertionError):
+    """A property check failed.
+
+    Raised explicitly rather than by ``assert``, so that the checks still
+    run under ``python -O``.
+    """
+
+
+def _at(cp, eps=None) -> str:
+    text = f"{cp.gt.letter} {cp.lam.to_text()}"
+    return text if eps is None else f"{text} eps={eps.to_text()}"
+
+
+def every_group(max_n: int):
+    """The group type of every N in 1..max_n: B for odd N, C for even N."""
+    for N in range(1, max_n + 1):
+        yield GroupType(1 if N % 2 else -1, N)
+
+
+def _good_parity_classes(gt: GroupType):
+    return (cp for cp in enumerate_classes(gt) if not cp.bp)
+
+
+# ------------------------------------------------------------------ checks
+
+
+def check_dprop(gt: GroupType) -> int:
+    """d(lam) is special, d(d(lam)) is both the special closure of lam and
+    T_up over I(lam), and the fibers of d are the special pieces."""
+    checked = 0
+    fibers = {}
+    for cp in enumerate_classes(gt):
+        d = bvls_dual(cp)
+        if not is_special(d):
+            raise VerificationFailed(f"d({_at(cp)}) not special")
+        back = bvls_dual(d)
+        if back != special_closure(cp):
+            raise VerificationFailed(f"d(d({_at(cp)})) is not the special closure")
+        if back != T_up(cp, block_structure(cp).I_set):
+            raise VerificationFailed(f"d(d({_at(cp)})) is not T_up over I")
+        fibers.setdefault(d, set()).add(cp)
+        checked += 1
+    for image, fiber in fibers.items():
+        if fiber != {mu for _, mu in special_piece(bvls_dual(image))}:
+            raise VerificationFailed(f"fiber over {_at(image)} is not the special piece")
+    return checked
+
+
+def check_spc(gt: GroupType) -> int:
+    """The special piece of lam has 2^|J| members."""
+    checked = 0
+    for cp in enumerate_classes(gt):
+        if len(special_piece(cp)) != 2 ** len(piece_data(cp).J):
+            raise VerificationFailed(f"{_at(cp)}: special piece is not 2^|J|")
+        checked += 1
+    return checked
+
+
+def check_js(gt: GroupType) -> int:
+    """Every tempered member shared with the m_{lam,J} packet is carried to
+    m_{lam,J} by its merge chain, with the Moeglin signs the merges predict,
+    for every J inside J(lam) and every central character z."""
+    checked = 0
+    zs = (1,) if gt.s == 1 else (1, -1)
+    for cp in enumerate_classes(gt):
+        J_all = sorted(block_structure(cp).J_set)
+        for mask in range(1 << len(J_all)):
+            J = frozenset(J_all[i] for i in range(len(J_all)) if mask >> i & 1)
+            for z in zs:
+                target = near_tempered_table(cp, J, z)
+                for eps in tempered_intersection(cp, z, J):
+                    m, ao, p = merge_chain(cp, eps, J, z)
+                    if m != target:
+                        raise VerificationFailed(
+                            f"{_at(cp, eps)} J={sorted(J)} z={z}: merge chain missed its table"
+                        )
+                    ch = arthur_character(ao, p)
+                    for i in m.gp_indices():
+                        a, b = m.entries[i]
+                        if b == 1:
+                            # untouched entries keep the tempered sign
+                            ok = (
+                                p.eta_of(i) == eps.sign(a)
+                                and ch.indicator((a, 1)) == eps.indicator(a)
+                            )
+                        else:
+                            # merged entries flip with eps(a-1)
+                            low = eps.indicator(a - 1) if a > 1 else 0
+                            ok = p.eta_of(i) == (-1) ** low
+                        if not ok:
+                            raise VerificationFailed(
+                                f"{_at(cp, eps)} J={sorted(J)} z={z}: wrong sign at entry {(a, b)}"
+                            )
+                    checked += 1
+    return checked
+
+
+def check_almost(gt: GroupType) -> int:
+    """The brute-force L-parameters with character chi_lambda and dual
+    d(lam) are exactly the near-tempered family of the piece cube."""
+    checked = 0
+    for cp in enumerate_classes(gt):
+        report = verify_almost_intro(cp)
+        if not report.ok or len(report.found) != len(special_piece(cp)):
+            raise VerificationFailed(f"{_at(cp)}: brute force disagrees with the piece cube")
+        checked += 1
+    return checked
+
+
+def check_firstrow(gt: GroupType) -> int:
+    """Green tableaux of a Springer-type pair put exactly the complement of
+    X_eps in the first row, and their bipartitions are pairwise
+    incomparable in the (delta, tau) dominance order."""
+    checked = 0
+    dt = delta_tau(gt)
+    for cp in _good_parity_classes(gt):
+        for eps in char_group(cp):
+            sd = springer_data(cp, eps)
+            if not is_springer_type(sd):
+                continue
+            tabs = green_tableaux(sd, *dt)
+            for t in tabs:
+                rest = tuple(sorted(set(range(1, sd.ell + 1)) - set(t.rows[0])))
+                if rest != sd.X_eps:
+                    raise VerificationFailed(
+                        f"{_at(cp, eps)}: first row is not the complement of X_eps"
+                    )
+            ps = {t.bipartition for t in tabs}
+            for x in ps:
+                for y in ps:
+                    if x != y and leq_dominance(x, y, *dt):
+                        raise VerificationFailed(
+                            f"{_at(cp, eps)}: {x.to_text()} <= {y.to_text()} in dominance"
+                        )
+            checked += 1
+    return checked
+
+
+def check_theoremC(gt: GroupType) -> int:
+    """A character in P(lam)_0 is weakly spherical exactly when it lies in
+    the canonical subgroup, for every good-parity class.
+
+    One side is membership in the canonical subgroup, straight from the
+    block structure of S(lam); the other is the tableau algorithm over the
+    gamma sequence.  The two share no code beyond the index data.
+    """
+    checked = 0
+    for cp in _good_parity_classes(gt):
+        adag = set(canonical_subgroup(cp))
+        for eps in char_group(cp):
+            if weakly_spherical(springer_data(cp, eps)) != (eps in adag):
+                raise VerificationFailed(
+                    f"{_at(cp, eps)}: weak sphericity disagrees with the canonical subgroup"
+                )
+            checked += 1
+    return checked
+
+
+def check_lr_oracle(n: int) -> int:
+    """The LR induction table of every pair of bipartitions of total degree
+    n equals the one the W_n character-table oracle computes."""
+    checked = 0
+    for i in range(n + 1):
+        for x in bipartitions_of(i):
+            for y in bipartitions_of(n - i):
+                if oracle_mult(x, y) != induce_table(x, y):
+                    raise VerificationFailed(
+                        f"LR and oracle disagree on {x.to_text()} x {y.to_text()}"
+                    )
+                checked += 1
+    return checked
+
+
+def check_fixed_vectors(n: int) -> int:
+    """The W_{n,i}-fixed-vector formula matches the multiplicities of the
+    induced trivial representation, for every i and every Irr(W_n)."""
+    checked = 0
+    for i in range(n + 1):
+        brute = oracle_mult(e_rep(1, i, 0), e_rep(1, n - i, 0))
+        for pi in bipartitions_of(n):
+            if invariant_dim(pi, i) != brute.get(pi, 0):
+                raise VerificationFailed(f"fixed vectors of {pi.to_text()} under W_{n},{i}")
+            checked += 1
+    return checked
+
+
+# ---------------------------------------------------------------- planning
+
+CHECKS = {
+    "dprop": check_dprop,
+    "spc": check_spc,
+    "js": check_js,
+    "almost": check_almost,
+    "firstrow": check_firstrow,
+    "theoremC": check_theoremC,
+}
+SUITES = (*CHECKS, "oracle")
+
+# The largest N (for the oracle: n) each suite runs at.  The oracle is
+# correct through wreps.ORACLE_BOUND = 6, but its n = 6 cell takes about
+# eight times as long as the n = 5 cell (13.5 s against 1.75 s).
+BOUNDS = {suite: DEFAULT_ENUMERATION_BOUND for suite in CHECKS}
+BOUNDS["almost"] = ENUM_BOUND
+BOUNDS["oracle"] = 5
+
+
+def plan(suites, max_n: int) -> list[tuple[str, int, int]]:
+    """The (suite, s, N) cells of a run through max_n, in output order.
+
+    Oracle cells carry s = 0 and stop at the oracle's bound; partition
+    suites get a cell for every N, also past their bound (see
+    :func:`skip_reason`).
+    """
+    cells = []
+    for suite in suites:
+        if suite == "oracle":
+            cells += [("oracle", 0, n) for n in range(min(max_n, BOUNDS["oracle"]) + 1)]
+        else:
+            cells += [(suite, gt.s, gt.N) for gt in every_group(max_n)]
+    return cells
+
+
+def skip_reason(suite: str, N: int) -> str | None:
+    """Why a cell is not run, or None when N is within its suite's bound."""
+    if N > BOUNDS[suite]:
+        return f"N = {N} exceeds the {suite} bound {BOUNDS[suite]}"
+    return None
+
+
+def run_cell(suite: str, s: int, N: int) -> int:
+    """Run one planned cell and return its number of checks."""
+    if suite == "oracle":
+        return check_lr_oracle(N) + check_fixed_vectors(N)
+    return CHECKS[suite](GroupType(s, N))

@@ -1,58 +1,26 @@
 """End-to-end acceptance fixtures: the desk-scale checks the library must
-pass exactly, with their stated time budgets."""
+pass exactly, with their stated time budgets.  The property sweeps call
+the suites of :mod:`upkit.verify` at their own bounds."""
 
 import time
 
-import pytest
-
+from upkit import verify
 from upkit.components import (
     CharFn,
-    block_structure,
     canonical_subgroup,
     char_group,
     char_group_order,
 )
-from upkit.moeglin import arthur_character, merge_chain, tempered_intersection
-from upkit.params import (
-    near_tempered_table,
-    packets_containing,
-    verify_almost_intro,
-    weak_packet,
-)
-from upkit.partitions import GroupType, Partition, classify, enumerate_classes
-from upkit.pieces import (
-    T_up,
-    bvls_dual,
-    is_special,
-    piece_data,
-    special_closure,
-    special_piece,
-)
-from upkit.springer import (
-    delta_tau,
-    green_tableaux,
-    is_springer_type,
-    leq_dominance,
-    springer_data,
-    weakly_spherical,
-)
-from upkit.wreps import (
-    bipartitions_of,
-    e_rep,
-    induce_table,
-    invariant_dim,
-    oracle_mult,
-)
+from upkit.params import packets_containing, weak_packet
+from upkit.partitions import GroupType, Partition, classify
+from upkit.pieces import special_piece
+from upkit.springer import springer_data, weakly_spherical
+from upkit.verify import every_group
 
 
 def B(text):
     lam = Partition.from_text(text)
     return classify(lam, GroupType(1, lam.size))
-
-
-def every_group(max_n):
-    for N in range(1, max_n + 1):
-        yield GroupType(1 if N % 2 else -1, N)
 
 
 # 1 ------------------------------------------------------------ Sp8 fixture
@@ -101,16 +69,7 @@ def test_triangular_family():
 def test_duality_properties():
     t0 = time.monotonic()
     for gt in every_group(24):
-        fibers = {}
-        for cp in enumerate_classes(gt):
-            d = bvls_dual(cp)
-            assert is_special(d)
-            back = bvls_dual(d)
-            assert back == special_closure(cp)
-            assert back == T_up(cp, block_structure(cp).I_set)
-            fibers.setdefault(d, set()).add(cp)
-        for image, fiber in fibers.items():
-            assert fiber == {mu for _, mu in special_piece(bvls_dual(image))}
+        verify.check_dprop(gt)
     assert time.monotonic() - t0 < 120.0
 
 
@@ -118,8 +77,7 @@ def test_duality_properties():
 
 def test_special_piece_cardinality():
     for gt in every_group(24):
-        for cp in enumerate_classes(gt):
-            assert len(special_piece(cp)) == 2 ** len(piece_data(cp).J)
+        verify.check_spc(gt)
 
 
 # 5 --------------------------------------------------- parameter brute force
@@ -127,23 +85,14 @@ def test_special_piece_cardinality():
 def test_almost_intro_enumeration():
     t0 = time.monotonic()
     for gt in every_group(14):
-        for cp in enumerate_classes(gt):
-            report = verify_almost_intro(cp)
-            assert report.ok, cp.lam.to_text()
-            assert len(report.found) == len(special_piece(cp))
+        verify.check_almost(gt)
     assert time.monotonic() - t0 < 300.0
 
 
 # 6 -------------------------------------------------------------Weyl oracle
 
 def test_weyl_oracle():
-    pairs = 0
-    for n in range(6):
-        for i in range(n + 1):
-            for x in bipartitions_of(i):
-                for y in bipartitions_of(n - i):
-                    assert oracle_mult(x, y) == induce_table(x, y)
-                    pairs += 1
+    pairs = sum(verify.check_lr_oracle(n) for n in range(6))
     assert pairs == 416
 
 
@@ -151,32 +100,14 @@ def test_weyl_oracle():
 
 def test_first_reduction_dims():
     for n in range(6):
-        for i in range(n + 1):
-            brute = oracle_mult(e_rep(1, i, 0), e_rep(1, n - i, 0))
-            for pi in bipartitions_of(n):
-                assert invariant_dim(pi, i) == brute.get(pi, 0)
+        verify.check_fixed_vectors(n)
 
 
 # 8 -------------------------------------------- the sphericity equivalence
 
 def test_weak_sphericity_equivalence():
-    # side A: membership in the canonical subgroup, straight from the
-    # block structure of S(lam); side B: the tableau algorithm over the
-    # gamma sequence.  The two share no code beyond the index data.
     t0 = time.monotonic()
-    checked = 0
-    for gt in every_group(22):
-        for cp in enumerate_classes(gt):
-            if cp.bp:
-                continue
-            adag = set(canonical_subgroup(cp))
-            for eps in char_group(cp):
-                sd = springer_data(cp, eps)
-                assert weakly_spherical(sd) == (eps in adag), (
-                    cp.lam.to_text(),
-                    sorted(eps.subset),
-                )
-                checked += 1
+    checked = sum(verify.check_theoremC(gt) for gt in every_group(22))
     assert checked == 1255
     assert time.monotonic() - t0 < 600.0
 
@@ -185,52 +116,11 @@ def test_weak_sphericity_equivalence():
 
 def test_tableau_first_row_and_maximality():
     for gt in every_group(22):
-        dt = delta_tau(gt)
-        for cp in enumerate_classes(gt):
-            if cp.bp:
-                continue
-            for eps in char_group(cp):
-                sd = springer_data(cp, eps)
-                if not is_springer_type(sd):
-                    continue
-                tabs = green_tableaux(sd, *dt)
-                for t in tabs:
-                    rest = tuple(
-                        sorted(set(range(1, sd.ell + 1)) - set(t.rows[0]))
-                    )
-                    assert rest == sd.X_eps
-                ps = {t.bipartition for t in tabs}
-                for x in ps:
-                    for y in ps:
-                        if x != y:
-                            assert not leq_dominance(x, y, *dt)
+        verify.check_firstrow(gt)
 
 
 # 10 --------------------------------------------------- Moeglin round trip
 
 def test_moeglin_round_trip():
     for gt in every_group(14):
-        for cp in enumerate_classes(gt):
-            J_all = sorted(block_structure(cp).J_set)
-            zs = (1,) if gt.s == 1 else (1, -1)
-            for mask in range(1 << len(J_all)):
-                J = frozenset(
-                    J_all[i] for i in range(len(J_all)) if mask >> i & 1
-                )
-                for z in zs:
-                    target = near_tempered_table(cp, J, z)
-                    inside = set(tempered_intersection(cp, z, J))
-                    for eps in inside:
-                        m, ao, p = merge_chain(cp, eps, J, z)
-                        assert m == target
-                        ch = arthur_character(ao, p)
-                        for i in m.gp_indices():
-                            a, b = m.entries[i]
-                            if b == 1:
-                                # untouched entries keep the tempered sign
-                                assert p.eta_of(i) == eps.sign(a)
-                                assert ch.indicator((a, 1)) == eps.indicator(a)
-                            else:
-                                # merged entries flip with eps(a-1)
-                                low = eps.indicator(a - 1) if a > 1 else 0
-                                assert p.eta_of(i) == (-1) ** low
+        verify.check_js(gt)

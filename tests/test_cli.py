@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import upkit
 from upkit.cli import main
 
 
@@ -256,14 +261,47 @@ def test_verify_single_suite(capsys):
 
 
 def test_verify_all_small(capsys):
-    code, lines = run(capsys, "verify", "--suite", "all", "--maxN", "4")
+    code, lines = run(capsys, "verify", "--suite", "all", "--maxN", "8")
     assert code == 0
     rows = [json.loads(ln) for ln in lines]
-    suites = {r["suite"] for r in rows[:-1]}
-    assert suites == {
-        "dprop", "spc", "js", "almost", "firstrow", "theoremC", "oracle",
+    checked = {}
+    for r in rows[:-1]:
+        checked[r["suite"]] = checked.get(r["suite"], 0) + r["checked"]
+    assert checked == {
+        "dprop": 42, "spc": 42, "js": 108, "almost": 42, "firstrow": 31,
+        "theoremC": 32, "oracle": 792,
     }
-    assert rows[-1]["status"] == "pass"
+    assert rows[-1]["status"] == "pass" and "skipped" not in rows[-1]
+
+
+def test_verify_skips_cells_past_bound(capsys):
+    code, lines = run(capsys, "verify", "--suite", "almost", "--maxN", "18")
+    assert code == 0
+    rows = [json.loads(ln) for ln in lines]
+    assert [r["N"] for r in rows[:-1] if r["status"] == "pass"] == list(range(1, 17))
+    skips = [r for r in rows[:-1] if r["status"] == "skip"]
+    assert [(r["N"], r["checked"]) for r in skips] == [(17, 0), (18, 0)]
+    assert all(r["reason"] for r in skips)
+    assert rows[-1]["status"] == "pass" and rows[-1]["skipped"] == 2
+
+
+def test_verify_fails_under_python_O():
+    # a broken route must still fail when python -O strips assert statements
+    script = (
+        "import sys, upkit.cli, upkit.verify\n"
+        "if __debug__: sys.exit(99)\n"
+        "upkit.verify.canonical_subgroup = lambda cp: ()\n"
+        "sys.exit(upkit.cli.main(['verify', '--suite', 'theoremC', '--maxN', '9']))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(upkit.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 4, proc.stderr
+    rows = [json.loads(ln) for ln in proc.stdout.splitlines()]
+    assert rows[0]["status"] == "fail" and rows[0]["detail"]
+    assert rows[-1]["record"] == "summary" and rows[-1]["status"] == "fail"
 
 
 def test_verify_jobs_match_serial(capsys):
