@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .components import CharFn, block_structure, canonical_subgroup, char_group_order
-from .errors import UpkitError
+from .errors import MalformedOutput, UpkitError
 from .params import near_tempered_table, packets_containing, weak_packet
 from .partitions import (
     DEFAULT_ENUMERATION_BOUND,
@@ -258,7 +258,8 @@ def _verify_cell(cell: tuple[str, int, int]) -> dict:
     try:
         record["checked"] = run_cell(suite, s, N)
         record["status"] = "pass"
-    except VerificationFailed as exc:
+    except (VerificationFailed, MalformedOutput) as exc:
+        # a route's own consistency gate failing is a failed check too
         record["checked"] = 0
         record["status"] = "fail"
         record["detail"] = str(exc)
@@ -266,6 +267,10 @@ def _verify_cell(cell: tuple[str, int, int]) -> dict:
 
 
 def cmd_verify(args) -> int:
+    if args.maxN < 1:
+        return _fail(EXIT_USAGE, f"maxN={args.maxN} must be at least 1")
+    if args.jobs < 1:
+        return _fail(EXIT_USAGE, f"jobs={args.jobs} must be at least 1")
     if args.maxN > _max_n_cap():
         return _fail(EXIT_USAGE, f"maxN={args.maxN} exceeds UPKIT_MAX_N cap")
     suites = list(SUITES) if args.suite == "all" else [args.suite]

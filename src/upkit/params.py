@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .components import block_structure, canonical_subgroup, char_group_order, t_character
-from .errors import BoundExceeded, NotCanonical, NotInJ
+from .errors import BoundExceeded, MalformedOutput, NotCanonical, NotInJ
 from .partitions import ClassPartition, GroupType, Partition, classify, difference, dominates
 from .pieces import bvls_dual, special_piece
 
@@ -262,8 +262,14 @@ def packets_containing(cp: ClassPartition, eps, z: int = 1) -> list[tuple[frozen
 
 @functools.lru_cache(maxsize=None)
 def _run_decompositions(remaining: tuple[int, ...]) -> frozenset:
-    """All ways to cover the descending multiset ``remaining`` by runs
-    {top, top-2, ..., top-2(k-1)}; each cover is a sorted summand tuple."""
+    """All self-dual ways to cover the symmetric descending multiset
+    ``remaining`` by runs {j2+k-1, j2+k-3, ..., j2-k+1}; each cover is a
+    sorted summand tuple (j2, k), invariant under j2 -> -j2.
+
+    The run through the top value starts there; it is removed together
+    with its mirror (-j2, k), or alone when j2 = 0, which leaves the
+    remainder symmetric.
+    """
     if not remaining:
         return frozenset({()})
     counts = Counter(remaining)
@@ -272,11 +278,16 @@ def _run_decompositions(remaining: tuple[int, ...]) -> frozenset:
     for k in range(1, len(remaining) + 1):
         run = Counter(top - 2 * i for i in range(k))
         if any(counts[v] < c for v, c in run.items()):
-            break
-        rest = tuple(sorted((counts - run).elements(), reverse=True))
-        summand = (top - k + 1, k)
+            break  # every longer run contains this one
+        j2 = top - k + 1
+        pair = ((j2, k),) if j2 == 0 else ((j2, k), (-j2, k))
+        # the mirror run is the negated run; the two may overlap
+        used = run if j2 == 0 else run + Counter(-v for v in run.elements())
+        if any(counts[v] < c for v, c in used.items()):
+            continue
+        rest = tuple(sorted((counts - used).elements(), reverse=True))
         for tail in _run_decompositions(rest):
-            out.add(tuple(sorted(tail + (summand,))))
+            out.add(tuple(sorted(tail + pair)))
     return frozenset(out)
 
 
@@ -285,10 +296,10 @@ def enumerate_lparams_with_inf_char(
 ) -> list[LParam]:
     """Every self-dual L-parameter of type gt with infinitesimal character chi.
 
-    Exhaustive search over run covers of the eigenvalue multiset; kept are
-    the self-dual covers whose j2 = 0 summands of the wrong symmetry
-    (symplectic nu_k for s = +1, orthogonal for s = -1) pair up.  Raises
-    :class:`BoundExceeded` when the dimension exceeds ``bound``.
+    Exhaustive search over the self-dual run covers of the eigenvalue
+    multiset; kept are the covers whose j2 = 0 summands of the wrong
+    symmetry (symplectic nu_k for s = +1, orthogonal for s = -1) pair up.
+    Raises :class:`BoundExceeded` when the dimension exceeds ``bound``.
     """
     N = len(chi.eigen)
     if N != gt.N:
@@ -301,7 +312,7 @@ def enumerate_lparams_with_inf_char(
     for summands in sorted(_run_decompositions(chi.eigen)):
         counts = Counter(summands)
         if counts != Counter((-j2, k) for j2, k in summands):
-            continue
+            raise MalformedOutput(f"run cover {summands} is not self-dual")
         ok = True
         for (j2, k), m in counts.items():
             if j2 == 0 and k % 2 == (0 if gt.s == 1 else 1) and m % 2 == 1:

@@ -474,18 +474,23 @@ def oracle_mult(x: Bipartition, y: Bipartition) -> dict:
         raise BoundExceeded(f"oracle limited to n <= {ORACLE_BOUND}, got {n}")
     chi_x = _wn_table(x.n)[x]
     chi_y = _wn_table(y.n)[y]
-    # <x x y, res target> over W_i x W_{n-i}, class by class
-    pieces = []
+    # <x x y, res target> over W_i x W_{n-i}, class by class, scaled by the
+    # group order so that every weight (character times class size) is an
+    # integer; pieces that fuse to the same W_n class are merged
+    order = 2**n * math.factorial(x.n) * math.factorial(y.n)
+    pieces = Counter()
     for (rp1, rm1), v1 in chi_x.items():
         for (rp2, rm2), v2 in chi_y.items():
             if v1 and v2:
-                weight = Fraction(v1 * v2, _zwn(rp1, rm1) * _zwn(rp2, rm2))
-                pieces.append((weight, (union(rp1, rp2), union(rm1, rm2))))
+                size, rem = divmod(order, _zwn(rp1, rm1) * _zwn(rp2, rm2))
+                if rem:
+                    raise MalformedOutput("centralizer order does not divide the group order")
+                pieces[union(rp1, rp2), union(rm1, rm2)] += v1 * v2 * size
     out = {}
     for target, chi in _wn_table(n).items():
-        acc = sum((w * chi[fused] for w, fused in pieces), Fraction(0))
-        if acc.denominator != 1 or acc < 0:
+        mult, rem = divmod(sum(w * chi[fused] for fused, w in pieces.items()), order)
+        if rem or mult < 0:
             raise MalformedOutput("oracle produced a non-multiplicity")
-        if acc:
-            out[target] = acc.numerator
+        if mult:
+            out[target] = mult
     return out

@@ -7,7 +7,11 @@ from pathlib import Path
 import pytest
 
 import upkit
+import upkit.moeglin
+from upkit import wreps
 from upkit.cli import main
+from upkit.params import tempered_table
+from upkit.partitions import Partition
 
 
 def run(capsys, *argv):
@@ -302,6 +306,50 @@ def test_verify_fails_under_python_O():
     rows = [json.loads(ln) for ln in proc.stdout.splitlines()]
     assert rows[0]["status"] == "fail" and rows[0]["detail"]
     assert rows[-1]["record"] == "summary" and rows[-1]["status"] == "fail"
+
+
+def test_verify_records_broken_merge_route_as_fail(capsys, monkeypatch):
+    # merge_chain's own MalformedOutput gate is a failed check, not exit 3
+    monkeypatch.setattr(
+        upkit.moeglin, "near_tempered_table",
+        lambda cp, J, z=1: tempered_table(cp, z),
+    )
+    code, lines = run(capsys, "verify", "--suite", "js", "--maxN", "6")
+    assert code == 4
+    rows = [json.loads(ln) for ln in lines]
+    fails = [r for r in rows[:-1] if r["status"] == "fail"]
+    assert fails and all("missed its target" in r["detail"] for r in fails)
+    assert rows[-1]["record"] == "summary" and rows[-1]["status"] == "fail"
+
+
+def test_verify_records_broken_oracle_as_fail(capsys, monkeypatch):
+    # one wrong W_3 character value trips the oracle's integrality gate
+    real = wreps._wn_table
+
+    def corrupted(n):
+        table = real(n)
+        if n != 3:
+            return table
+        table = {bp: dict(values) for bp, values in table.items()}
+        first = next(iter(table))
+        table[first][Partition((1, 1, 1)), Partition()] += 1
+        return table
+
+    monkeypatch.setattr(wreps, "_wn_table", corrupted)
+    code, lines = run(capsys, "verify", "--suite", "oracle", "--maxN", "3")
+    assert code == 4
+    rows = [json.loads(ln) for ln in lines]
+    assert [r["status"] for r in rows[:-1]] == ["pass", "pass", "pass", "fail"]
+    assert "non-multiplicity" in rows[3]["detail"]
+    assert rows[-1]["status"] == "fail"
+
+
+@pytest.mark.parametrize("flag", ["--maxN", "--jobs"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_verify_rejects_counts_below_one(capsys, flag, value):
+    code, lines = run(capsys, "verify", "--suite", "theoremC", flag, value)
+    assert code == 2
+    assert lines == []
 
 
 def test_verify_jobs_match_serial(capsys):

@@ -1,3 +1,6 @@
+import functools
+from collections import Counter
+
 import pytest
 
 from upkit.components import CharFn, block_structure, canonical_subgroup
@@ -196,6 +199,50 @@ def test_enumeration_respects_symmetry_filter():
         ((0, 2),),
         ((-1, 1), (1, 1)),
     }
+
+
+@functools.lru_cache(maxsize=None)
+def _all_run_covers(remaining):
+    # reference: every run cover of the multiset, self-dual or not
+    if not remaining:
+        return frozenset({()})
+    counts = Counter(remaining)
+    top = remaining[0]
+    out = set()
+    for k in range(1, len(remaining) + 1):
+        run = Counter(top - 2 * i for i in range(k))
+        if any(counts[v] < c for v, c in run.items()):
+            break
+        rest = tuple(sorted((counts - run).elements(), reverse=True))
+        summand = (top - k + 1, k)
+        for tail in _all_run_covers(rest):
+            out.add(tuple(sorted(tail + (summand,))))
+    return frozenset(out)
+
+
+def _generate_and_filter(chi, gt):
+    # reference: keep the self-dual covers whose wrong-symmetry j2 = 0
+    # summands pair up
+    found = []
+    for summands in sorted(_all_run_covers(chi.eigen)):
+        counts = Counter(summands)
+        if counts != Counter((-j2, k) for j2, k in summands):
+            continue
+        if all(
+            not (j2 == 0 and k % 2 == (0 if gt.s == 1 else 1) and m % 2)
+            for (j2, k), m in counts.items()
+        ):
+            found.append(LParam(chi.z, summands))
+    return found
+
+
+def test_enumeration_matches_generate_and_filter():
+    for cp in both_types(14):
+        for z in (1,) if cp.gt.s == 1 else (1, -1):
+            chi = chi_z_lambda(cp, z)
+            assert enumerate_lparams_with_inf_char(chi, cp.gt) == _generate_and_filter(
+                chi, cp.gt
+            ), (cp, z)
 
 
 def test_hand_excluded_parameter():
