@@ -32,6 +32,7 @@ from .partitions import (
     difference,
     dominates,
     enumerate_classes,
+    good_parity_classes,
     partitions_of,
     union,
 )

@@ -359,6 +359,20 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    try:
+        code = _dispatch(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``upkit ... | head``); point the fd at
+        # devnull so the interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
+    return code
+
+
+def _dispatch(args) -> int:
     if not args.query:
         try:
             return args.fn(args)

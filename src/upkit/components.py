@@ -255,8 +255,18 @@ def full_group(cp: ClassPartition) -> tuple[CharFn, ...]:
 
 @functools.lru_cache(maxsize=None)
 def char_group(cp: ClassPartition) -> tuple[CharFn, ...]:
-    """P(lam)_0: the subsets meeting S_0(lam) in an even number of values."""
-    return tuple(fn for fn in full_group(cp) if fn.in_P0)
+    """P(lam)_0: the subsets meeting S_0(lam) in an even number of values.
+
+    Same order as :func:`full_group` (size first, then lexicographic);
+    only the members are built.
+    """
+    s0 = set(cp.S0)
+    return tuple(
+        CharFn(cp, frozenset(combo))
+        for k in range(len(cp.S) + 1)
+        for combo in itertools.combinations(cp.S, k)
+        if len(s0.intersection(combo)) % 2 == 0
+    )
 
 
 @functools.lru_cache(maxsize=None)

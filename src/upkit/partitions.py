@@ -10,9 +10,9 @@ class at all.
 
 The module provides the raw multiset calculus (union, difference,
 intervals, transpose, dominance), the :class:`GroupType` bookkeeping, and
-:func:`classify` / :func:`enumerate_classes`, which produce
-:class:`ClassPartition` objects carrying the derived data every other
-module consumes:
+:func:`classify` / :func:`enumerate_classes` / :func:`good_parity_classes`,
+which produce :class:`ClassPartition` objects carrying the derived data
+every other module consumes:
 
 * ``gp``  -- the good-parity part of ``lam`` (full multiplicity),
 * ``bp``  -- half of the bad-parity part (which pairs up),
@@ -35,6 +35,7 @@ __all__ = [
     "partitions_of",
     "classify",
     "enumerate_classes",
+    "good_parity_classes",
 ]
 
 
@@ -64,7 +65,9 @@ class Partition:
         """Parse ``"5,3,1"`` or exponent notation ``"7^4,5^3"``; "" is empty.
 
         Exponents distribute over single parts only: ``7^4`` contributes
-        four parts equal to 7.  Whitespace around tokens is ignored.
+        four parts equal to 7.  An exponent must be a positive integer;
+        ``7^0`` or ``7^-1`` raises ValueError.  Whitespace around tokens
+        is ignored.
         """
         text = text.strip()
         if not text or text in ("-", "0", "()"):
@@ -74,7 +77,10 @@ class Partition:
             token = token.strip()
             if "^" in token:
                 base, _, exp = token.partition("^")
-                parts.extend([int(base)] * int(exp))
+                count = int(exp)
+                if count <= 0:
+                    raise ValueError(f"exponent in {token!r} must be positive")
+                parts.extend([int(base)] * count)
             else:
                 parts.append(int(token))
         return cls(parts)
@@ -253,13 +259,17 @@ class ClassPartition:
     def __init__(self, lam, gt):
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "gt", gt)
-        good = Partition(p for p in lam if gt.good_parity(p))
-        bad = [p for p in lam if not gt.good_parity(p)]
-        half = Partition(v for v in sorted(set(bad)) for _ in range(bad.count(v) // 2))
-        object.__setattr__(self, "gp", good)
-        object.__setattr__(self, "bp", half)
-        object.__setattr__(self, "S", good.supp)
-        object.__setattr__(self, "S0", lam.mf().supp)
+        # (value, multiplicity), ascending by value
+        runs = [(v, len(list(g))) for v, g in itertools.groupby(reversed(lam.parts))]
+        good = [(v, m) for v, m in runs if gt.good_parity(v)]
+        object.__setattr__(self, "gp", Partition(v for v, m in good for _ in range(m)))
+        object.__setattr__(
+            self,
+            "bp",
+            Partition(v for v, m in runs if not gt.good_parity(v) for _ in range(m // 2)),
+        )
+        object.__setattr__(self, "S", tuple(v for v, _ in good))
+        object.__setattr__(self, "S0", tuple(v for v, m in runs if m % 2))
 
     def __setattr__(self, name, value):
         raise AttributeError("ClassPartition is immutable")
@@ -322,19 +332,57 @@ def partitions_of(n, max_part=None):
 DEFAULT_ENUMERATION_BOUND = 60
 
 
+def _class_parts(gt, good_only):
+    """Yield the parts tuples of the class partitions of gt.N, reverse-lex.
+
+    Part values are chosen in descending order, each with its
+    multiplicity from the largest down; a bad-parity value may only take
+    an even multiplicity, and is skipped altogether when ``good_only``.
+    This is the subsequence of :func:`partitions_of` that :func:`classify`
+    accepts, in the same order, without visiting the rejects.
+    """
+
+    def rec(remaining, cap, prefix):
+        if remaining == 0:
+            yield tuple(prefix)
+            return
+        for v in range(min(cap, remaining), 0, -1):
+            if gt.good_parity(v):
+                step = 1
+            elif good_only:
+                continue
+            else:
+                step = 2
+            top = remaining // v
+            for m in range(top - top % step, 0, -step):
+                prefix.extend([v] * m)
+                yield from rec(remaining - m * v, v - 1, prefix)
+                del prefix[-m:]
+
+    return rec(gt.N, gt.N, [])
+
+
+def _check_bound(gt, bound):
+    if gt.N > bound:
+        raise BoundExceeded(f"N = {gt.N} exceeds enumeration bound {bound}")
+
+
 def enumerate_classes(gt, bound=DEFAULT_ENUMERATION_BOUND):
     """All unipotent class partitions for gt, in reverse-lex order.
 
-    Raises :class:`BoundExceeded` when N exceeds ``bound`` (the partition
+    Raises :class:`BoundExceeded` when N exceeds ``bound`` (the class
     count grows superpolynomially; the default bound of 60 keeps runtimes
     sane while covering everything the verification suites need).
     """
-    if gt.N > bound:
-        raise BoundExceeded(f"N = {gt.N} exceeds enumeration bound {bound}")
-    result = []
-    for lam in partitions_of(gt.N):
-        try:
-            result.append(classify(lam, gt))
-        except ParityViolation:
-            continue
-    return result
+    _check_bound(gt, bound)
+    return [ClassPartition(Partition(parts), gt) for parts in _class_parts(gt, False)]
+
+
+def good_parity_classes(gt, bound=DEFAULT_ENUMERATION_BOUND):
+    """The classes of :func:`enumerate_classes` without bad-parity parts.
+
+    Same order and same :class:`BoundExceeded` gate; the bad-parity
+    classes are never generated.
+    """
+    _check_bound(gt, bound)
+    return [ClassPartition(Partition(parts), gt) for parts in _class_parts(gt, True)]

@@ -174,6 +174,33 @@ def defect(sd: SpringerIndexData, i: int) -> int:
     )
 
 
+def _defects(sd: SpringerIndexData) -> tuple[int, ...]:
+    """(D_eps(0), ..., D_eps(ell)) in one pass, equal to :func:`defect` at
+    every index.
+
+    The thresholds lam_0 > lam_1 >= ... >= lam_ell only fall, so the
+    values of S_max/S_min, taken in descending order, leave the running
+    sum one by one.
+    """
+    ind = sd.eps.indicator
+    weight: dict[int, int] = {}
+    for a in sd.S_max:
+        weight[a] = weight.get(a, 0) + ind(a)
+    for a in sd.S_min:
+        weight[a] = weight.get(a, 0) - ind(a)
+    values = sorted(weight, reverse=True)
+    total = sum(weight.values())
+    lam = sd.lam
+    out = []
+    j = 0
+    for hi in ((lam[0] + 1 if lam else 1), *lam):
+        while j < len(values) and values[j] >= hi:
+            total -= weight[values[j]]
+            j += 1
+        out.append(total)
+    return tuple(out)
+
+
 def is_springer_type(sd: SpringerIndexData) -> bool:
     """Does eps support a Springer representation sigma(O_lam, eps)?"""
     return defect(sd, 0) == 0
@@ -231,11 +258,12 @@ def gamma_seq(sd: SpringerIndexData) -> tuple[int, ...]:
     s = sd.s
     m_off, m_on = (-2, 0) if s == 1 else (1, -1)
     ind = sd.eps.indicator
+    defects = _defects(sd)
     out = []
     for i in range(1, sd.ell + 1):
         a = sd.lam[i - 1]
         gtilde = a // 2 if i % 2 else (a + 1) // 2
-        d = defect(sd, i)
+        d = defects[i]
         m = m_on if a in sd.S_min else m_off
         g = gtilde - 2 * s * sd.ebar(i) * d + (-1) ** i * ind(a) * m
         if g < 0:

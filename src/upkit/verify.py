@@ -16,8 +16,13 @@ from __future__ import annotations
 
 from .components import block_structure, canonical_subgroup, char_group
 from .moeglin import arthur_character, merge_chain, tempered_intersection
-from .params import ENUM_BOUND, near_tempered_table, verify_almost_intro
-from .partitions import DEFAULT_ENUMERATION_BOUND, GroupType, enumerate_classes
+from .params import ENUM_BOUND, verify_almost_intro
+from .partitions import (
+    DEFAULT_ENUMERATION_BOUND,
+    GroupType,
+    enumerate_classes,
+    good_parity_classes,
+)
 from .pieces import T_up, bvls_dual, is_special, piece_data, special_closure, special_piece
 from .springer import (
     delta_tau,
@@ -47,10 +52,6 @@ def every_group(max_n: int):
     """The group type of every N in 1..max_n: B for odd N, C for even N."""
     for N in range(1, max_n + 1):
         yield GroupType(1 if N % 2 else -1, N)
-
-
-def _good_parity_classes(gt: GroupType):
-    return (cp for cp in enumerate_classes(gt) if not cp.bp)
 
 
 # ------------------------------------------------------------------ checks
@@ -99,13 +100,10 @@ def check_js(gt: GroupType) -> int:
         for mask in range(1 << len(J_all)):
             J = frozenset(J_all[i] for i in range(len(J_all)) if mask >> i & 1)
             for z in zs:
-                target = near_tempered_table(cp, J, z)
                 for eps in tempered_intersection(cp, z, J):
+                    # merge_chain raises MalformedOutput when it misses
+                    # near_tempered_table(cp, J, z)
                     m, ao, p = merge_chain(cp, eps, J, z)
-                    if m != target:
-                        raise VerificationFailed(
-                            f"{_at(cp, eps)} J={sorted(J)} z={z}: merge chain missed its table"
-                        )
                     ch = arthur_character(ao, p)
                     for i in m.gp_indices():
                         a, b = m.entries[i]
@@ -145,7 +143,7 @@ def check_firstrow(gt: GroupType) -> int:
     incomparable in the (delta, tau) dominance order."""
     checked = 0
     dt = delta_tau(gt)
-    for cp in _good_parity_classes(gt):
+    for cp in good_parity_classes(gt):
         for eps in char_group(cp):
             sd = springer_data(cp, eps)
             if not is_springer_type(sd):
@@ -177,7 +175,7 @@ def check_theoremC(gt: GroupType) -> int:
     gamma sequence.  The two share no code beyond the index data.
     """
     checked = 0
-    for cp in _good_parity_classes(gt):
+    for cp in good_parity_classes(gt):
         adag = set(canonical_subgroup(cp))
         for eps in char_group(cp):
             if weakly_spherical(springer_data(cp, eps)) != (eps in adag):

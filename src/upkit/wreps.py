@@ -261,12 +261,13 @@ def e_rep(s: int, n: int, i: int) -> Bipartition:
     return Bipartition(Partition((n - i,)), Partition((i,)))
 
 
-def e_family(s: int, n: int) -> list:
+@lru_cache(maxsize=None)
+def e_family(s: int, n: int) -> tuple:
     """The distinct E^s_i: floor(n/2)+1 members for s = +1, n+1 for s = -1."""
     if s not in (1, -1):
         raise ValueError("s must be +1 or -1")
     top = n // 2 if s == 1 else n
-    return [e_rep(s, n, i) for i in range(top + 1)]
+    return tuple(e_rep(s, n, i) for i in range(top + 1))
 
 
 def _as_counter(pi) -> Counter:

@@ -224,6 +224,13 @@ def test_bad_partition_text(capsys):
     assert code == 2
 
 
+def test_nonpositive_exponent_is_usage_error(capsys):
+    code, lines = run(
+        capsys, "class-info", "--dual", "B", "--partition", "5,1^-3,3,1"
+    )
+    assert code == 2 and lines == []
+
+
 def test_bad_parity_partition(capsys):
     # N even cannot be a B dual
     code, _ = run(capsys, "class-info", "--dual", "B", "--partition", "4,4")
@@ -242,6 +249,22 @@ def test_bad_eps_length(capsys):
         "--eps=--",
     )
     assert code == 2
+
+
+def test_closed_pipe_exits_quietly():
+    # `upkit classes ... | head -1`: the reader goes away after one line
+    env = {**os.environ, "PYTHONPATH": str(Path(upkit.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "upkit.cli", "classes", "--dual", "C", "--N", "40"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert json.loads(first)["partition"] == "40"
+    assert err == b""
 
 
 def test_usage_errors_exit_2():

@@ -266,6 +266,11 @@ def test_triangular_canonical_count():
         assert len(char_group(cp)) == 4 ** k
 
 
+def test_char_group_is_the_P0_part_of_full_group():
+    for cp in both_types(16):
+        assert char_group(cp) == tuple(f for f in full_group(cp) if f.in_P0)
+
+
 def test_char_group_order_formula():
     for cp in both_types(18):
         assert len(char_group(cp)) == char_group_order(cp)

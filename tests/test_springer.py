@@ -1,10 +1,11 @@
 import pytest
 
-from upkit.components import CharFn, canonical_subgroup, char_group
+from upkit.components import CharFn, canonical_subgroup, char_group, full_group
 from upkit.errors import BadParity, NotSpringerType
 from upkit.partitions import GroupType, Partition, classify, enumerate_classes
 from upkit.springer import (
     GreenTableau,
+    _defects,
     defect,
     delta_tau,
     gamma_seq,
@@ -109,6 +110,13 @@ def test_defect_examples():
     d = sd(B("5,3,1"), 1, 3)
     assert [defect(d, i) for i in range(4)] == [0, 0, -1, 0]
     assert defect(sd(B("5,3,1"), 1, 5), 0) == -2
+
+
+def test_defects_match_defect():
+    for cp in pure_classes(20):
+        for eps in full_group(cp):
+            d = springer_data(cp, eps)
+            assert _defects(d) == tuple(defect(d, i) for i in range(d.ell + 1))
 
 
 def test_defect_index_range():
