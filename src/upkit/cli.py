@@ -2,7 +2,9 @@
 
 Every record is a single JSON object with sorted keys (``--pretty``
 re-indents for humans).  Exit codes: 0 success, 2 usage/validation,
-3 domain error, 4 verification failure.  ``UPKIT_MAX_N`` caps every
+3 domain error, 4 verification failure.  A closed stdout (``| head``)
+ends the run with 0 and no traceback; for ``verify`` that is no verdict,
+since only the ``summary`` record gives one.  ``UPKIT_MAX_N`` caps every
 enumeration bound accepted on the command line.
 """
 
@@ -278,14 +280,23 @@ def cmd_verify(args) -> int:
     statuses = Counter()
 
     def emit_each(records):
-        # map and pool.map both yield in submission order
+        # map and pool.map both yield in submission order; each record is
+        # flushed as its cell ends, so a reader sees progress and a closed
+        # pipe is noticed at the next cell, not at the end of the run
         for record in records:
             statuses[record["status"]] += 1
             _emit(record, args.pretty)
+            sys.stdout.flush()
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            emit_each(pool.map(_verify_cell, cells))
+            try:
+                emit_each(pool.map(_verify_cell, cells))
+            except BrokenPipeError:
+                # nobody reads the records any more: drop the cells not yet
+                # started instead of waiting for them on the way out
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
         emit_each(map(_verify_cell, cells))
     summary = {

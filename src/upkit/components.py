@@ -101,7 +101,7 @@ class CharFn:
 
     @property
     def in_P0(self) -> bool:
-        return len(self.subset & set(self.base.S0)) % 2 == 0
+        return _meets_evenly(self.subset, self.base.S0)
 
     @property
     def in_Pprime(self) -> bool:
@@ -242,30 +242,32 @@ def _subsets_of_classes(bs: BlockStructure):
         )
 
 
+def _meets_evenly(subset: frozenset[int], S0) -> bool:
+    """The P(lam)_0 rule: the subset meets S_0(lam) in an even number of values."""
+    return len(subset.intersection(S0)) % 2 == 0
+
+
+def _subsets_in_order(S):
+    """Every subset of S, smallest-first, then lexicographic."""
+    for k in range(len(S) + 1):
+        for combo in itertools.combinations(S, k):
+            yield frozenset(combo)
+
+
 @functools.lru_cache(maxsize=None)
 def full_group(cp: ClassPartition) -> tuple[CharFn, ...]:
     """P(lam): every subset of S(lam), smallest-first."""
-    S = cp.S
-    subs = []
-    for k in range(len(S) + 1):
-        for combo in itertools.combinations(S, k):
-            subs.append(CharFn(cp, frozenset(combo)))
-    return tuple(subs)
+    return tuple(CharFn(cp, a) for a in _subsets_in_order(cp.S))
 
 
 @functools.lru_cache(maxsize=None)
 def char_group(cp: ClassPartition) -> tuple[CharFn, ...]:
     """P(lam)_0: the subsets meeting S_0(lam) in an even number of values.
 
-    Same order as :func:`full_group` (size first, then lexicographic);
-    only the members are built.
+    Same order as :func:`full_group`, but only the members are built.
     """
-    s0 = set(cp.S0)
     return tuple(
-        CharFn(cp, frozenset(combo))
-        for k in range(len(cp.S) + 1)
-        for combo in itertools.combinations(cp.S, k)
-        if len(s0.intersection(combo)) % 2 == 0
+        CharFn(cp, a) for a in _subsets_in_order(cp.S) if _meets_evenly(a, cp.S0)
     )
 
 

@@ -259,17 +259,13 @@ class ClassPartition:
     def __init__(self, lam, gt):
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "gt", gt)
-        # (value, multiplicity), ascending by value
-        runs = [(v, len(list(g))) for v, g in itertools.groupby(reversed(lam.parts))]
-        good = [(v, m) for v, m in runs if gt.good_parity(v)]
-        object.__setattr__(self, "gp", Partition(v for v, m in good for _ in range(m)))
-        object.__setattr__(
-            self,
-            "bp",
-            Partition(v for v, m in runs if not gt.good_parity(v) for _ in range(m // 2)),
-        )
-        object.__setattr__(self, "S", tuple(v for v, _ in good))
-        object.__setattr__(self, "S0", tuple(v for v, m in runs if m % 2))
+        good = Partition(p for p in lam if gt.good_parity(p))
+        bad = [p for p in lam if not gt.good_parity(p)]
+        half = Partition(v for v in sorted(set(bad)) for _ in range(bad.count(v) // 2))
+        object.__setattr__(self, "gp", good)
+        object.__setattr__(self, "bp", half)
+        object.__setattr__(self, "S", good.supp)
+        object.__setattr__(self, "S0", lam.mf().supp)
 
     def __setattr__(self, name, value):
         raise AttributeError("ClassPartition is immutable")
@@ -378,11 +374,11 @@ def enumerate_classes(gt, bound=DEFAULT_ENUMERATION_BOUND):
     return [ClassPartition(Partition(parts), gt) for parts in _class_parts(gt, False)]
 
 
-def good_parity_classes(gt, bound=DEFAULT_ENUMERATION_BOUND):
+def good_parity_classes(gt):
     """The classes of :func:`enumerate_classes` without bad-parity parts.
 
-    Same order and same :class:`BoundExceeded` gate; the bad-parity
-    classes are never generated.
+    Same order and same :class:`BoundExceeded` gate at the default bound;
+    the bad-parity classes are never generated.
     """
-    _check_bound(gt, bound)
+    _check_bound(gt, DEFAULT_ENUMERATION_BOUND)
     return [ClassPartition(Partition(parts), gt) for parts in _class_parts(gt, True)]

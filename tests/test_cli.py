@@ -1,5 +1,8 @@
+import contextlib
 import json
 import os
+import select
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -251,20 +254,39 @@ def test_bad_eps_length(capsys):
     assert code == 2
 
 
-def test_closed_pipe_exits_quietly():
-    # `upkit classes ... | head -1`: the reader goes away after one line
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["classes", "--dual", "C", "--N", "40"], "partition", "40"),
+        # the pool must drop the cells not yet started instead of running
+        # the sweep out to N = 60, which takes minutes
+        (["verify", "--suite", "theoremC", "--maxN", "60", "--jobs", "2"], "N", 1),
+    ],
+    ids=["classes", "verify-jobs"],
+)
+def test_closed_pipe_exits_quietly(argv, key, value):
+    # `upkit ... | head -1`: the reader goes away after one line
     env = {**os.environ, "PYTHONPATH": str(Path(upkit.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)  # records must reach the pipe on their own
     proc = subprocess.Popen(
-        [sys.executable, "-m", "upkit.cli", "classes", "--dual", "C", "--N", "40"],
+        [sys.executable, "-m", "upkit.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        start_new_session=True,
     )
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=120) == 0
-    assert json.loads(first)["partition"] == "40"
-    assert err == b""
+    try:
+        assert select.select([proc.stdout], [], [], 20)[0], "no record within 20 s"
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=20) == 0
+        assert json.loads(first)[key] == value
+        assert proc.stderr.read() == b""
+    finally:
+        # a failed run leaves pool workers behind: end the whole group
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=20)
+        proc.stdout.close()
+        proc.stderr.close()
 
 
 def test_usage_errors_exit_2():

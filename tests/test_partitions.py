@@ -1,8 +1,6 @@
 import itertools
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from upkit.errors import BoundExceeded, NotContained, ParityViolation, WrongTotal
 from upkit.partitions import (
@@ -46,32 +44,6 @@ def test_nonpositive_exponent_rejected():
     for text in ("5,1^-3,3,1", "7^-1", "5,3^0,1", "2^0"):
         with pytest.raises(ValueError):
             P(text)
-
-
-@given(st.lists(st.integers(min_value=0, max_value=12), max_size=12))
-def test_text_roundtrip_property(parts):
-    lam = Partition(parts)
-    assert Partition.from_text(lam.to_text()) == lam
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(min_value=-3, max_value=9),
-            st.integers(min_value=-3, max_value=6),
-        ),
-        min_size=1,
-        max_size=6,
-    )
-)
-def test_exponent_parse_property(tokens):
-    text = ",".join(f"{base}^{exp}" for base, exp in tokens)
-    try:
-        lam = P(text)
-    except ValueError:
-        assert any(exp <= 0 or base < 0 for base, exp in tokens)
-    else:
-        assert lam.size == sum(base * exp for base, exp in tokens)
 
 
 def test_basic_accessors():
@@ -177,17 +149,19 @@ def test_enumerate_classes_is_reverse_lex():
 
 
 def test_enumerate_classes_counts_match_brute_force():
+    # the reference: partitions_of minus every partition with a bad-parity
+    # value of odd multiplicity, in the same reverse-lex order
     for s, parity in ((1, 1), (-1, 0)):
-        for N in range(parity if parity else 2, 21, 2):
+        for N in range(parity if parity else 2, 31, 2):
             gt = GroupType(s, N)
-            fast = {cp.lam for cp in enumerate_classes(gt)}
-            slow = set()
-            for lam in partitions_of(N):
-                if all(
-                    gt.good_parity(v) or lam.mult(v) % 2 == 0 for v in lam.supp
-                ):
-                    slow.add(lam)
-            assert fast == slow
+            slow = [
+                lam
+                for lam in partitions_of(N)
+                if all(gt.good_parity(v) or lam.mult(v) % 2 == 0 for v in lam.supp)
+            ]
+            classes = enumerate_classes(gt)
+            assert [cp.lam for cp in classes] == slow
+            assert good_parity_classes(gt) == [cp for cp in classes if not cp.bp]
 
 
 def test_enumerate_classes_bound():
@@ -195,28 +169,6 @@ def test_enumerate_classes_bound():
         enumerate_classes(GroupType(1, 61))
     with pytest.raises(BoundExceeded):
         good_parity_classes(GroupType(1, 61))
-    with pytest.raises(BoundExceeded):
-        good_parity_classes(GroupType(-1, 12), bound=10)
-
-
-def _generate_and_filter(gt):
-    # the reference: every partition of N, minus classify's rejects
-    out = []
-    for lam in partitions_of(gt.N):
-        try:
-            out.append(classify(lam, gt))
-        except ParityViolation:
-            continue
-    return out
-
-
-@pytest.mark.parametrize("s", [1, -1])
-def test_class_generators_match_generate_and_filter(s):
-    for N in range(0 if s == -1 else 1, 31, 2):
-        gt = GroupType(s, N)
-        ref = _generate_and_filter(gt)
-        assert enumerate_classes(gt) == ref
-        assert good_parity_classes(gt) == [cp for cp in ref if not cp.bp]
 
 
 def test_class_counts():
