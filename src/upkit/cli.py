@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .components import CharFn, block_structure, canonical_subgroup, char_group_order
@@ -63,7 +62,7 @@ def _max_n_cap() -> int:
     try:
         return int(raw) if raw else DEFAULT_MAX_N
     except ValueError:
-        raise SystemExit(EXIT_USAGE)
+        raise SystemExit(_fail(EXIT_USAGE, f"UPKIT_MAX_N={raw!r} is not an integer"))
 
 
 def _emit(obj, pretty: bool) -> None:
@@ -289,6 +288,9 @@ def cmd_verify(args) -> int:
             sys.stdout.flush()
 
     if args.jobs > 1:
+        # imported here, so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             try:
                 emit_each(pool.map(_verify_cell, cells))

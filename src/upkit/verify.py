@@ -191,8 +191,9 @@ def check_lr_oracle(n: int) -> int:
     n equals the one the W_n character-table oracle computes."""
     checked = 0
     for i in range(n + 1):
+        ys = list(bipartitions_of(n - i))
         for x in bipartitions_of(i):
-            for y in bipartitions_of(n - i):
+            for y in ys:
                 if oracle_mult(x, y) != induce_table(x, y):
                     raise VerificationFailed(
                         f"LR and oracle disagree on {x.to_text()} x {y.to_text()}"

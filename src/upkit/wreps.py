@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -102,8 +103,9 @@ class Bipartition:
 def bipartitions_of(n: int):
     """Yield all of Irr(W_n), |alpha| descending, reverse-lex within."""
     for a in range(n, -1, -1):
+        betas = tuple(partitions_of(n - a))
         for alpha in partitions_of(a):
-            for beta in partitions_of(n - a):
+            for beta in betas:
                 yield Bipartition(alpha, beta)
 
 
@@ -430,8 +432,11 @@ def _induced_wchar(alpha, beta, sym_a, sym_b, cls) -> int:
     chi_alpha(sigma+ u sigma-) chi_beta(tau+ u tau-) (-1)^{#parts tau-}.
     """
     rp, rm = cls
-    a = alpha.size
-    acc = Fraction(0)
+    a, b = alpha.size, beta.size
+    # the class sum over W_a x W_b, scaled by its order so that every
+    # term (character times class size) is an integer
+    order = 2 ** (a + b) * math.factorial(a) * math.factorial(b)
+    acc = 0
     for sp, tp in _splits(rp):
         for sm, tm in _splits(rm):
             if sp.size + sm.size != a:
@@ -439,16 +444,20 @@ def _induced_wchar(alpha, beta, sym_a, sym_b, cls) -> int:
             va = sym_a[alpha][union(sp, sm)]
             vb = sym_b[beta][union(tp, tm)]
             sign = -1 if len(tm) % 2 else 1
-            acc += Fraction(va * vb * sign, _zwn(sp, sm) * _zwn(tp, tm))
-    val = acc * _zwn(rp, rm)
-    if val.denominator != 1:
+            size, rem = divmod(order, _zwn(sp, sm) * _zwn(tp, tm))
+            if rem:
+                raise MalformedOutput("centralizer order does not divide the group order")
+            acc += va * vb * sign * size
+    val, rem = divmod(acc * _zwn(rp, rm), order)
+    if rem:
         raise MalformedOutput("non-integral induced character value")
-    return val.numerator
+    return val
 
 
 @lru_cache(maxsize=None)
 def _wn_table(n: int) -> dict:
-    """Character table of W_n as {Bipartition: {class: value}}."""
+    """Character table of W_n as {Bipartition: {class: value}}, every row
+    listing the classes in :func:`_wn_classes` order."""
     classes = _wn_classes(n)
     table = {}
     for bp in bipartitions_of(n):
@@ -473,23 +482,37 @@ def oracle_mult(x: Bipartition, y: Bipartition) -> dict:
     n = x.n + y.n
     if n > ORACLE_BOUND:
         raise BoundExceeded(f"oracle limited to n <= {ORACLE_BOUND}, got {n}")
+    table = _wn_table(n)
     chi_x = _wn_table(x.n)[x]
     chi_y = _wn_table(y.n)[y]
     # <x x y, res target> over W_i x W_{n-i}, class by class, scaled by the
     # group order so that every weight (character times class size) is an
-    # integer; pieces that fuse to the same W_n class are merged
+    # integer.  Pieces that fuse to the same W_n class are merged at that
+    # class's position in the table's rows, which all list the classes in
+    # one order, so each multiplicity is one integer dot product.  Classes
+    # are keyed by their plain part tuples, which hash at C speed.
+    position = {
+        (rp.parts, rm.parts): p for p, (rp, rm) in enumerate(next(iter(table.values())))
+    }
     order = 2**n * math.factorial(x.n) * math.factorial(y.n)
-    pieces = Counter()
+    weights = [0] * len(position)
+    ys = [(rp.parts, rm.parts, _zwn(rp, rm), v) for (rp, rm), v in chi_y.items() if v]
     for (rp1, rm1), v1 in chi_x.items():
-        for (rp2, rm2), v2 in chi_y.items():
-            if v1 and v2:
-                size, rem = divmod(order, _zwn(rp1, rm1) * _zwn(rp2, rm2))
-                if rem:
-                    raise MalformedOutput("centralizer order does not divide the group order")
-                pieces[union(rp1, rp2), union(rm1, rm2)] += v1 * v2 * size
+        if not v1:
+            continue
+        z1 = _zwn(rp1, rm1)
+        for rp2, rm2, z2, v2 in ys:
+            size, rem = divmod(order, z1 * z2)
+            if rem:
+                raise MalformedOutput("centralizer order does not divide the group order")
+            fused = (
+                tuple(sorted(rp1.parts + rp2, reverse=True)),
+                tuple(sorted(rm1.parts + rm2, reverse=True)),
+            )
+            weights[position[fused]] += v1 * v2 * size
     out = {}
-    for target, chi in _wn_table(n).items():
-        mult, rem = divmod(sum(w * chi[fused] for fused, w in pieces.items()), order)
+    for target, chi in table.items():
+        mult, rem = divmod(sum(map(operator.mul, weights, chi.values())), order)
         if rem or mult < 0:
             raise MalformedOutput("oracle produced a non-multiplicity")
         if mult:

@@ -11,6 +11,7 @@ import pytest
 
 import upkit
 import upkit.moeglin
+import upkit.params
 from upkit import wreps
 from upkit.cli import main
 from upkit.params import tempered_table
@@ -58,6 +59,16 @@ def test_classes_cap(capsys, monkeypatch):
     monkeypatch.setenv("UPKIT_MAX_N", "11")
     code, _ = run(capsys, "classes", "--dual", "B", "--N", "11")
     assert code == 0
+
+
+def test_cap_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("UPKIT_MAX_N", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["classes", "--dual", "C", "--N", "4"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("upkit: ") and "'abc'" in err[0]
 
 
 # -------------------------------------------------------------- class-info
@@ -387,6 +398,18 @@ def test_verify_records_broken_oracle_as_fail(capsys, monkeypatch):
     assert [r["status"] for r in rows[:-1]] == ["pass", "pass", "pass", "fail"]
     assert "non-multiplicity" in rows[3]["detail"]
     assert rows[-1]["status"] == "fail"
+
+
+def test_verify_records_malformed_run_cover_as_fail(capsys, monkeypatch):
+    # a cover that is not self-dual trips the brute force's own gate
+    monkeypatch.setattr(
+        upkit.params, "_run_decompositions", lambda eigen: frozenset({((1, 1),) * len(eigen)})
+    )
+    code, lines = run(capsys, "verify", "--suite", "almost", "--maxN", "2")
+    assert code == 4
+    rows = [json.loads(ln) for ln in lines]
+    assert [r["status"] for r in rows] == ["fail", "fail", "fail"]
+    assert all("not self-dual" in r["detail"] for r in rows[:-1])
 
 
 @pytest.mark.parametrize("flag", ["--maxN", "--jobs"])

@@ -4,13 +4,13 @@ from collections import Counter
 import pytest
 
 from upkit.components import CharFn, block_structure, canonical_subgroup
-from upkit.errors import BoundExceeded, NotCanonical, NotInJ
+from upkit import params
+from upkit.errors import BoundExceeded, MalformedOutput, NotCanonical, NotInJ
 from upkit.params import (
     ATable,
     InfChar,
     LParam,
     chi_z_lambda,
-    closure_bounded,
     enumerate_lparams_with_inf_char,
     inf_char,
     l_param_of_table,
@@ -180,6 +180,25 @@ def _subsets(values):
 
 # ------------------------------------------------------------- enumeration
 
+@pytest.mark.parametrize(
+    "cover",
+    [((1, 1), (1, 1), (1, 1)), ((1, 1), (-1, 1), (1, 1))],
+    ids=["not-self-dual", "unsorted"],
+)
+def test_enumeration_gate_refuses_bad_covers(monkeypatch, cover):
+    # the covers skip LParam's validation, so the gate must catch a cover
+    # that is not self-dual, and one that is but is not sorted
+    monkeypatch.setattr(params, "_run_decompositions", lambda eigen: frozenset({cover}))
+    with pytest.raises(MalformedOutput, match="not self-dual"):
+        enumerate_lparams_with_inf_char(chi_z_lambda(B("3")), GroupType(1, 3))
+
+
+def test_enumeration_rejects_bad_z():
+    eigen = chi_z_lambda(B("3")).eigen
+    with pytest.raises(ValueError, match="z must be"):
+        enumerate_lparams_with_inf_char(InfChar(5, eigen), GroupType(1, 3))
+
+
 def test_enumerate_small_fixture():
     gt = GroupType(1, 3)
     chi = chi_z_lambda(B("3"))
@@ -264,8 +283,3 @@ def test_almost_intro_small_grid():
         report = verify_almost_intro(cp)
         assert report.ok, cp
         assert len(report.found) == len(special_piece(cp))
-
-
-def test_closure_bounded():
-    for cp in both_types(12):
-        assert closure_bounded(chi_z_lambda(cp), cp)
