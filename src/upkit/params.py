@@ -319,17 +319,18 @@ def enumerate_lparams_with_inf_char(
         raise ValueError("z must be +1 or -1")
     if chi.z == -1 and gt.s == 1:
         raise ValueError("z = -1 needs a dual group with a center (s = -1)")
-    wrong = 0 if gt.s == 1 else 1
+    wrong = 0 if gt.s == 1 else 1  # parity of the k whose nu_k has the wrong symmetry
     found = []
     for summands in sorted(_run_decompositions(chi.eigen)):
         # a sorted self-dual cover equals its sorted mirror; passing this
         # gate is what lets the cover skip LParam's own validation
         if summands != tuple(sorted((-j2, k) for j2, k in summands)):
             raise MalformedOutput(f"run cover {summands} is not self-dual")
-        # sorted, so every value of the wrong symmetry pairs up exactly
-        # when the list splits into equal neighbours
-        odd = [k for j2, k in summands if j2 == 0 and k % 2 == wrong]
-        if odd[0::2] == odd[1::2]:
+        # kept when the j2 = 0 summands of the wrong symmetry pair up; the
+        # cover is sorted, so that is when their list splits into equal
+        # neighbours
+        ks = [k for j2, k in summands if j2 == 0 and k % 2 == wrong]
+        if ks[0::2] == ks[1::2]:
             found.append(LParam._trusted(chi.z, summands))
     return found
 
