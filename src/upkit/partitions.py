@@ -61,6 +61,14 @@ class Partition:
         raise AttributeError("Partition is immutable")
 
     @classmethod
+    def _trusted(cls, parts):
+        """Build without validation from a tuple of positive integers that
+        is already weakly decreasing."""
+        lam = object.__new__(cls)
+        object.__setattr__(lam, "parts", parts)
+        return lam
+
+    @classmethod
     def from_text(cls, text):
         """Parse ``"5,3,1"`` or exponent notation ``"7^4,5^3"``; "" is empty.
 
@@ -267,6 +275,15 @@ class ClassPartition:
         object.__setattr__(self, "S", good.supp)
         object.__setattr__(self, "S0", lam.mf().supp)
 
+    @classmethod
+    def _trusted(cls, lam, gt, gp, bp, S, S0):
+        """Build from derived data already known to be what the
+        constructor would compute."""
+        cp = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (lam, gt, gp, bp, S, S0)):
+            object.__setattr__(cp, name, value)
+        return cp
+
     def __setattr__(self, name, value):
         raise AttributeError("ClassPartition is immutable")
 
@@ -329,33 +346,56 @@ DEFAULT_ENUMERATION_BOUND = 60
 
 
 def _class_parts(gt, good_only):
-    """Yield the parts tuples of the class partitions of gt.N, reverse-lex.
+    """Yield the class partitions of gt.N, reverse-lex.
 
     Part values are chosen in descending order, each with its
     multiplicity from the largest down; a bad-parity value may only take
     an even multiplicity, and is skipped altogether when ``good_only``.
     This is the subsequence of :func:`partitions_of` that :func:`classify`
-    accepts, in the same order, without visiting the rejects.
+    accepts, in the same order, without visiting the rejects.  The
+    derived data of each class (gp, bp, S, S0) is collected from the
+    chosen (value, multiplicity) runs on the way down.
     """
+    lam, gp, bp, S, S0 = [], [], [], [], []
 
-    def rec(remaining, cap, prefix):
+    def rec(remaining, cap):
         if remaining == 0:
-            yield tuple(prefix)
+            parts = Partition._trusted(tuple(lam))
+            yield ClassPartition._trusted(
+                parts,
+                gt,
+                parts if len(gp) == len(lam) else Partition._trusted(tuple(gp)),
+                Partition._trusted(tuple(bp)),
+                tuple(reversed(S)),
+                tuple(reversed(S0)),
+            )
             return
         for v in range(min(cap, remaining), 0, -1):
-            if gt.good_parity(v):
-                step = 1
-            elif good_only:
+            good = gt.good_parity(v)
+            if not good and good_only:
                 continue
-            else:
-                step = 2
+            step = 1 if good else 2
             top = remaining // v
             for m in range(top - top % step, 0, -step):
-                prefix.extend([v] * m)
-                yield from rec(remaining - m * v, v - 1, prefix)
-                del prefix[-m:]
+                lam.extend([v] * m)
+                if good:
+                    gp.extend([v] * m)
+                    S.append(v)
+                    if m % 2:
+                        S0.append(v)
+                else:
+                    bp.extend([v] * (m // 2))
+                yield from rec(remaining - m * v, v - 1)
+                del lam[-m:]
+                if good:
+                    del gp[-m:]
+                    S.pop()
+                    if m % 2:
+                        S0.pop()
+                else:
+                    del bp[-(m // 2):]
 
-    return rec(gt.N, gt.N, [])
+    return rec(gt.N, gt.N)
 
 
 def _check_bound(gt, bound):
@@ -371,7 +411,7 @@ def enumerate_classes(gt, bound=DEFAULT_ENUMERATION_BOUND):
     sane while covering everything the verification suites need).
     """
     _check_bound(gt, bound)
-    return [ClassPartition(Partition(parts), gt) for parts in _class_parts(gt, False)]
+    return list(_class_parts(gt, False))
 
 
 def good_parity_classes(gt):
@@ -381,4 +421,4 @@ def good_parity_classes(gt):
     the bad-parity classes are never generated.
     """
     _check_bound(gt, DEFAULT_ENUMERATION_BOUND)
-    return [ClassPartition(Partition(parts), gt) for parts in _class_parts(gt, True)]
+    return list(_class_parts(gt, True))

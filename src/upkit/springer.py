@@ -49,6 +49,8 @@ s = +1 and (n + 1, 2n + 1) for s = -1.
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .components import CharFn, block_structure
@@ -120,26 +122,31 @@ class SpringerIndexData:
         return self.X_plus if self.s == 1 else self.X_minus
 
 
-def springer_data(cp: ClassPartition, eps: CharFn) -> SpringerIndexData:
-    """Assemble the index data of (lam, eps); lam must be of good parity."""
-    if eps.base != cp:
-        raise ValueError("eps is a character of a different class partition")
-    if cp.bp:
-        raise BadParity(
-            f"{cp.lam!r} has bad-parity parts; reduce to lam^gp first"
-        )
+@dataclass(frozen=True)
+class _ClassIndex:
+    """The part of the index data that depends on lam alone.
+
+    ``table`` lists the values of S_max and S_min, descending, each with
+    its weight [a in S_max] - [a in S_min] (weight-0 values left out);
+    ``cuts[i]`` counts the table values at or above the threshold of
+    D_eps(i): lam_0 := lam_1 + 1 for i = 0, lam_i otherwise.
+    """
+
+    X: tuple[int, ...]
+    S_max: frozenset[int]
+    S_min: frozenset[int]
+    table: tuple[tuple[int, int], ...]
+    cuts: tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=64)
+def _class_index(cp: ClassPartition) -> _ClassIndex:
+    # a verify cell asks about every character of one class in a row,
+    # so a few dozen classes cover every reuse
     lam = cp.lam
-    ind = eps.indicator
-    ebar = tuple(
-        (-1) ** (ind(lam[i - 1]) + i - 1) for i in range(1, len(lam) + 1)
-    )
     first: dict[int, int] = {}
     for i, p in enumerate(lam, 1):
         first.setdefault(p, i)
-    X = tuple(sorted(first.values()))
-    X_eps = tuple(
-        i for i in X if ind(lam[i - 1]) != (ind(lam[i - 2]) if i > 1 else 0)
-    )
     bs = block_structure(cp)
     smax = {theta[-1] for theta in bs.classes}
     smin = {theta[0] for theta in bs.classes}
@@ -150,16 +157,56 @@ def springer_data(cp: ClassPartition, eps: CharFn) -> SpringerIndexData:
             bottom = bs.classes[0]
             if bottom[-1] == lam[len(lam) - 1] and bottom[-1] in set(cp.S0):
                 smin.discard(bottom[-1])
+    weight = {a: (a in smax) - (a in smin) for a in smax | smin}
+    values = [a for a in sorted(weight, reverse=True) if weight[a]]
+    cuts = []
+    j = 0
+    for hi in ((lam[0] + 1 if lam else 1), *lam):
+        while j < len(values) and values[j] >= hi:
+            j += 1
+        cuts.append(j)
+    return _ClassIndex(
+        X=tuple(sorted(first.values())),
+        S_max=frozenset(smax),
+        S_min=frozenset(smin),
+        table=tuple((a, weight[a]) for a in values),
+        cuts=tuple(cuts),
+    )
+
+
+def springer_data(cp: ClassPartition, eps: CharFn) -> SpringerIndexData:
+    """Assemble the index data of (lam, eps); lam must be of good parity."""
+    if eps.base is not cp and eps.base != cp:
+        raise ValueError("eps is a character of a different class partition")
+    if cp.bp:
+        raise BadParity(
+            f"{cp.lam!r} has bad-parity parts; reduce to lam^gp first"
+        )
+    ci = _class_index(cp)
+    lam = cp.lam
+    sub = eps.subset
+    ebar, e_plus, e_minus = [], [], []
+    for i, p in enumerate(lam, 1):
+        if ((p in sub) + i) % 2:
+            ebar.append(1)
+            e_plus.append(i)
+        else:
+            ebar.append(-1)
+            e_minus.append(i)
     return SpringerIndexData(
         base=cp,
         eps=eps,
-        epsbar=ebar,
-        e_plus=tuple(i for i in range(1, len(lam) + 1) if ebar[i - 1] == 1),
-        e_minus=tuple(i for i in range(1, len(lam) + 1) if ebar[i - 1] == -1),
-        X=X,
-        X_eps=X_eps,
-        S_max=frozenset(smax),
-        S_min=frozenset(smin),
+        epsbar=tuple(ebar),
+        e_plus=tuple(e_plus),
+        e_minus=tuple(e_minus),
+        X=ci.X,
+        X_eps=tuple(
+            i
+            for i in ci.X
+            if (lam[i - 1] in sub) != (i > 1 and lam[i - 2] in sub)
+        ),
+        S_max=ci.S_max,
+        S_min=ci.S_min,
     )
 
 
@@ -175,30 +222,18 @@ def defect(sd: SpringerIndexData, i: int) -> int:
 
 
 def _defects(sd: SpringerIndexData) -> tuple[int, ...]:
-    """(D_eps(0), ..., D_eps(ell)) in one pass, equal to :func:`defect` at
-    every index.
+    """(D_eps(0), ..., D_eps(ell)), equal to :func:`defect` at every index.
 
-    The thresholds lam_0 > lam_1 >= ... >= lam_ell only fall, so the
-    values of S_max/S_min, taken in descending order, leave the running
-    sum one by one.
+    Read off the class's descending value table: D_eps(i) sums the
+    weights of the eps-values below the i-th cut.
     """
-    ind = sd.eps.indicator
-    weight: dict[int, int] = {}
-    for a in sd.S_max:
-        weight[a] = weight.get(a, 0) + ind(a)
-    for a in sd.S_min:
-        weight[a] = weight.get(a, 0) - ind(a)
-    values = sorted(weight, reverse=True)
-    total = sum(weight.values())
-    lam = sd.lam
-    out = []
-    j = 0
-    for hi in ((lam[0] + 1 if lam else 1), *lam):
-        while j < len(values) and values[j] >= hi:
-            total -= weight[values[j]]
-            j += 1
-        out.append(total)
-    return tuple(out)
+    ci = _class_index(sd.base)
+    sub = sd.eps.subset
+    below = [0]
+    for a, w in reversed(ci.table):
+        below.append(below[-1] + w if a in sub else below[-1])
+    top = len(ci.table)
+    return tuple(below[top - c] for c in ci.cuts)
 
 
 def is_springer_type(sd: SpringerIndexData) -> bool:
@@ -247,9 +282,10 @@ def gamma_seq(sd: SpringerIndexData) -> tuple[int, ...]:
     sign class, or carries a zero entry violating the zero-part
     constraints -- all of which indicate a bug, never bad input.
     """
-    if not is_springer_type(sd):
+    defects = _defects(sd)
+    if defects[0]:
         raise NotSpringerType(
-            f"D_eps(0) = {defect(sd, 0)} != 0 for {sd.eps!r}"
+            f"D_eps(0) = {defects[0]} != 0 for {sd.eps!r}"
         )
     if not sd.eps.in_P0:
         raise ValueError(
@@ -257,15 +293,15 @@ def gamma_seq(sd: SpringerIndexData) -> tuple[int, ...]:
         )
     s = sd.s
     m_off, m_on = (-2, 0) if s == 1 else (1, -1)
-    ind = sd.eps.indicator
-    defects = _defects(sd)
+    sub = sd.eps.subset
+    smin = sd.S_min
     out = []
-    for i in range(1, sd.ell + 1):
-        a = sd.lam[i - 1]
+    for i, (a, e, d) in enumerate(zip(sd.lam, sd.epsbar, defects[1:]), 1):
         gtilde = a // 2 if i % 2 else (a + 1) // 2
-        d = defects[i]
-        m = m_on if a in sd.S_min else m_off
-        g = gtilde - 2 * s * sd.ebar(i) * d + (-1) ** i * ind(a) * m
+        g = gtilde - 2 * s * e * d
+        if a in sub:
+            m = m_on if a in smin else m_off
+            g += -m if i % 2 else m
         if g < 0:
             raise MalformedOutput(f"gamma_{i} = {g} < 0 for {sd.eps!r}")
         if g == 0 and d in (-1, 0, 1):
@@ -313,55 +349,71 @@ class GreenTableau:
         }
 
 
+def _walk_tableaux(sd, gam, delta, tau, leaf) -> None:
+    """Walk R(lam, eps, delta, tau) depth-first, +1 branch first.
+
+    ``leaf(rows, alpha, beta)`` sees every finished tableau: its rows and
+    the gamma sums along the rows that start on the +1 and on the -1
+    side.  The lists are the walker's own and change after ``leaf``
+    returns.
+    """
+    ebar = sd.epsbar
+    rows: list[list[int]] = []
+    alpha: list[int] = []
+    beta: list[int] = []
+
+    def expand(pool_p, pool_m, start_sum):
+        if not pool_p and not pool_m:
+            leaf(rows, alpha, beta)
+            return
+        starts = []
+        for u, mine, other in ((1, pool_p, pool_m), (-1, pool_m, pool_p)):
+            if mine and (not other or gam[mine[0] - 1] >= -u * (delta - start_sum)):
+                starts.append(u)
+        if not starts:
+            raise MalformedOutput("no admissible row start")
+        for u in starts:
+            pp, pm = pool_p[:], pool_m[:]
+            k = (pp if u == 1 else pm).pop(0)
+            row = [k]
+            total = gam[k - 1]
+            while True:
+                pool = pm if ebar[k - 1] == 1 else pp
+                j = bisect_right(pool, k)
+                if j == len(pool):
+                    break
+                k = pool.pop(j)
+                row.append(k)
+                total += gam[k - 1]
+            side = alpha if u == 1 else beta
+            rows.append(row)
+            side.append(total)
+            expand(pp, pm, start_sum + tau * u)
+            rows.pop()
+            side.pop()
+
+    expand(list(sd.e_plus), list(sd.e_minus), 0)
+
+
 def green_tableaux(
     sd: SpringerIndexData, delta: int, tau: int
 ) -> list[GreenTableau]:
     """R(lam, eps, delta, tau), depth-first with the +1 branch explored first."""
     if delta < 1 or tau < 1:
         raise ValueError("delta and tau must be positive integers")
-    gam = gamma_seq(sd)
-    ebar = sd.epsbar
     out: list[GreenTableau] = []
 
-    def close(rows):
-        salpha, sbeta = [], []
-        for r in rows:
-            (salpha if ebar[r[0] - 1] == 1 else sbeta).append(
-                sum(gam[i - 1] for i in r)
-            )
+    def close(rows, alpha, beta):
         out.append(
             GreenTableau(
-                rows=tuple(tuple(r) for r in rows),
+                rows=tuple(map(tuple, rows)),
                 params=(delta, tau),
-                alpha=Partition(salpha),
-                beta=Partition(sbeta),
+                alpha=Partition(alpha),
+                beta=Partition(beta),
             )
         )
 
-    def expand(rows, pool_p, pool_m, start_sum):
-        if not pool_p and not pool_m:
-            close(rows)
-            return
-        starts = []
-        for u, mine, other in ((1, pool_p, pool_m), (-1, pool_m, pool_p)):
-            if mine and (not other or gam[mine[0] - 1] >= -u * (delta - start_sum)):
-                starts.append((u, mine[0]))
-        if not starts:
-            raise MalformedOutput("no admissible row start")
-        for u, k in starts:
-            pp, pm = list(pool_p), list(pool_m)
-            (pp if u == 1 else pm).remove(k)
-            row = [k]
-            while True:
-                pool = pm if ebar[row[-1] - 1] == 1 else pp
-                nxt = next((v for v in pool if v > row[-1]), None)
-                if nxt is None:
-                    break
-                pool.remove(nxt)
-                row.append(nxt)
-            expand(rows + [row], pp, pm, start_sum + tau * u)
-
-    expand([], list(sd.e_plus), list(sd.e_minus), 0)
+    _walk_tableaux(sd, gamma_seq(sd), delta, tau, close)
     return out
 
 
@@ -420,8 +472,24 @@ def weakly_spherical(sd: SpringerIndexData) -> bool:
     if sd.base.bp:
         raise BadParity(f"{sd.lam!r} is not of pure good parity")
     gt = sd.base.gt
-    ps = p_set(sd, *delta_tau(gt))
-    return any(e in ps for e in e_family(gt.s, gt.n))
+    try:
+        gam = gamma_seq(sd)
+    except NotSpringerType:
+        return False
+    found = set()
+
+    def collect(rows, alpha, beta):
+        found.add((_parts(alpha), _parts(beta)))
+
+    _walk_tableaux(sd, gam, *delta_tau(gt), collect)
+    return any(
+        (e.alpha.parts, e.beta.parts) in found for e in e_family(gt.s, gt.n)
+    )
+
+
+def _parts(values) -> tuple[int, ...]:
+    """The parts tuple of Partition(values): zeros dropped, descending."""
+    return tuple(sorted((x for x in values if x), reverse=True))
 
 
 def weakly_spherical_general(cp: ClassPartition, eps: CharFn) -> bool:

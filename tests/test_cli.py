@@ -12,8 +12,10 @@ import pytest
 import upkit
 import upkit.moeglin
 import upkit.params
+import upkit.springer
 from upkit import wreps
 from upkit.cli import main
+from upkit.errors import MalformedOutput
 from upkit.params import tempered_table
 from upkit.partitions import Partition
 
@@ -375,6 +377,22 @@ def test_verify_records_broken_merge_route_as_fail(capsys, monkeypatch):
     rows = [json.loads(ln) for ln in lines]
     fails = [r for r in rows[:-1] if r["status"] == "fail"]
     assert fails and all("missed its target" in r["detail"] for r in fails)
+    assert rows[-1]["record"] == "summary" and rows[-1]["status"] == "fail"
+
+
+def test_verify_records_broken_zero_gate_as_fail(capsys, monkeypatch):
+    # theoremC reaches gamma's zero-part gate in every cell through N = 8
+    # but C2, whose one class (2) has gamma = (1)
+    def tripped(sd, i, a, d):
+        raise MalformedOutput(f"zero gamma_{i} refused")
+
+    monkeypatch.setattr(upkit.springer, "_zero_gate", tripped)
+    code, lines = run(capsys, "verify", "--suite", "theoremC", "--maxN", "8")
+    assert code == 4
+    rows = [json.loads(ln) for ln in lines]
+    fails = [r for r in rows[:-1] if r["status"] == "fail"]
+    assert [r["N"] for r in fails] == [1, 3, 4, 5, 6, 7, 8]
+    assert all("refused" in r["detail"] for r in fails)
     assert rows[-1]["record"] == "summary" and rows[-1]["status"] == "fail"
 
 

@@ -164,6 +164,24 @@ def test_enumerate_classes_counts_match_brute_force():
             assert good_parity_classes(gt) == [cp for cp in classes if not cp.bp]
 
 
+def test_enumerated_classes_match_classify():
+    # enumeration builds each class from its runs without the validating
+    # constructor; ClassPartition equality reads only lam and gt, so every
+    # derived field is compared with what classify computes
+    def fields(cp):
+        return cp.lam.parts, cp.gp.parts, cp.bp.parts, cp.S, cp.S0
+
+    seen = 0
+    for N in range(1, 37):
+        gt = GroupType(1 if N % 2 else -1, N)
+        for cp in enumerate_classes(gt):
+            assert fields(cp) == fields(classify(Partition(cp.lam.parts), gt)), cp
+            seen += 1
+        for cp in good_parity_classes(gt):
+            assert fields(cp) == fields(classify(Partition(cp.lam.parts), gt)), cp
+    assert seen == 21545
+
+
 def test_enumerate_classes_bound():
     with pytest.raises(BoundExceeded):
         enumerate_classes(GroupType(1, 61))

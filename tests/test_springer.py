@@ -1,11 +1,19 @@
 import pytest
 
-from upkit.components import CharFn, canonical_subgroup, char_group, full_group
-from upkit.errors import BadParity, NotSpringerType
+from upkit.components import (
+    CharFn,
+    block_structure,
+    canonical_subgroup,
+    char_group,
+    full_group,
+)
+from upkit.errors import BadParity, MalformedOutput, NotSpringerType
 from upkit.partitions import GroupType, Partition, classify, enumerate_classes
 from upkit.springer import (
     GreenTableau,
+    SpringerIndexData,
     _defects,
+    _zero_gate,
     defect,
     delta_tau,
     gamma_seq,
@@ -99,6 +107,169 @@ def test_x_group_is_smax_slice():
         d = sd(cp)
         want = tuple(i for i in d.X if d.lam[i - 1] in d.S_max)
         assert d.X_group == want
+
+
+# ------------------------------------------- reference: per-character path
+#
+# The index data, gamma and tableaux as they were computed before the
+# lam-only half moved into a per-class cache and the tableau walk was
+# shared: everything rebuilt per character, the walk through whole rows.
+
+
+def _ref_springer_data(cp, eps):
+    lam = cp.lam
+    ind = eps.indicator
+    ebar = tuple((-1) ** (ind(lam[i - 1]) + i - 1) for i in range(1, len(lam) + 1))
+    first = {}
+    for i, p in enumerate(lam, 1):
+        first.setdefault(p, i)
+    X = tuple(sorted(first.values()))
+    X_eps = tuple(i for i in X if ind(lam[i - 1]) != (ind(lam[i - 2]) if i > 1 else 0))
+    bs = block_structure(cp)
+    smax = {theta[-1] for theta in bs.classes}
+    smin = {theta[0] for theta in bs.classes}
+    if lam:
+        if cp.gt.s == 1:
+            smax.discard(lam[0])
+        else:
+            bottom = bs.classes[0]
+            if bottom[-1] == lam[len(lam) - 1] and bottom[-1] in set(cp.S0):
+                smin.discard(bottom[-1])
+    return SpringerIndexData(
+        base=cp,
+        eps=eps,
+        epsbar=ebar,
+        e_plus=tuple(i for i in range(1, len(lam) + 1) if ebar[i - 1] == 1),
+        e_minus=tuple(i for i in range(1, len(lam) + 1) if ebar[i - 1] == -1),
+        X=X,
+        X_eps=X_eps,
+        S_max=frozenset(smax),
+        S_min=frozenset(smin),
+    )
+
+
+def _ref_defects(d):
+    ind = d.eps.indicator
+    weight = {}
+    for a in d.S_max:
+        weight[a] = weight.get(a, 0) + ind(a)
+    for a in d.S_min:
+        weight[a] = weight.get(a, 0) - ind(a)
+    values = sorted(weight, reverse=True)
+    total = sum(weight.values())
+    out = []
+    j = 0
+    for hi in ((d.lam[0] + 1 if d.lam else 1), *d.lam):
+        while j < len(values) and values[j] >= hi:
+            total -= weight[values[j]]
+            j += 1
+        out.append(total)
+    return tuple(out)
+
+
+def _ref_gamma_seq(d):
+    if defect(d, 0) != 0:
+        raise NotSpringerType("not of Springer type")
+    if not d.eps.in_P0:
+        raise ValueError("outside P(lam)_0")
+    s = d.s
+    m_off, m_on = (-2, 0) if s == 1 else (1, -1)
+    ind = d.eps.indicator
+    defects = _ref_defects(d)
+    out = []
+    for i in range(1, d.ell + 1):
+        a = d.lam[i - 1]
+        gtilde = a // 2 if i % 2 else (a + 1) // 2
+        m = m_on if a in d.S_min else m_off
+        g = gtilde - 2 * s * d.ebar(i) * defects[i] + (-1) ** i * ind(a) * m
+        if g < 0:
+            raise MalformedOutput("negative gamma")
+        if g == 0 and defects[i] in (-1, 0, 1):
+            _zero_gate(d, i, a, defects[i])
+        out.append(g)
+    for idx in (d.e_plus, d.e_minus):
+        run = [out[i - 1] for i in idx]
+        if any(x < y for x, y in zip(run, run[1:])):
+            raise MalformedOutput("gamma not weakly decreasing")
+    return tuple(out)
+
+
+def _ref_green_tableaux(d, delta, tau):
+    gam = _ref_gamma_seq(d)
+    ebar = d.epsbar
+    out = []
+
+    def close(rows):
+        salpha, sbeta = [], []
+        for r in rows:
+            (salpha if ebar[r[0] - 1] == 1 else sbeta).append(sum(gam[i - 1] for i in r))
+        out.append(
+            GreenTableau(
+                rows=tuple(tuple(r) for r in rows),
+                params=(delta, tau),
+                alpha=Partition(salpha),
+                beta=Partition(sbeta),
+            )
+        )
+
+    def expand(rows, pool_p, pool_m, start_sum):
+        if not pool_p and not pool_m:
+            close(rows)
+            return
+        starts = []
+        for u, mine, other in ((1, pool_p, pool_m), (-1, pool_m, pool_p)):
+            if mine and (not other or gam[mine[0] - 1] >= -u * (delta - start_sum)):
+                starts.append((u, mine[0]))
+        if not starts:
+            raise MalformedOutput("no admissible row start")
+        for u, k in starts:
+            pp, pm = list(pool_p), list(pool_m)
+            (pp if u == 1 else pm).remove(k)
+            row = [k]
+            while True:
+                pool = pm if ebar[row[-1] - 1] == 1 else pp
+                nxt = next((v for v in pool if v > row[-1]), None)
+                if nxt is None:
+                    break
+                pool.remove(nxt)
+                row.append(nxt)
+            expand(rows + [row], pp, pm, start_sum + tau * u)
+
+    expand([], list(d.e_plus), list(d.e_minus), 0)
+    return out
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type of what it raised."""
+    try:
+        return fn(*args)
+    except (NotSpringerType, ValueError, MalformedOutput) as exc:
+        return type(exc)
+
+
+def _ref_weakly_spherical(d):
+    try:
+        ps = {t.bipartition for t in _ref_green_tableaux(d, *delta_tau(d.base.gt))}
+    except NotSpringerType:
+        return False
+    return bool(ps & set(e_family(d.s, d.base.gt.n)))
+
+
+def test_fast_path_matches_per_character_reference():
+    # every character of P(lam), outside P(lam)_0 and off Springer type too
+    for cp in pure_classes(24):
+        dt = delta_tau(cp.gt)
+        for eps in full_group(cp):
+            d = springer_data(cp, eps)
+            ref = _ref_springer_data(cp, eps)
+            assert d == ref, (cp, eps)
+            assert _outcome(gamma_seq, d) == _outcome(_ref_gamma_seq, ref), (cp, eps)
+            assert _outcome(green_tableaux, d, *dt) == _outcome(
+                _ref_green_tableaux, ref, *dt
+            ), (cp, eps)
+            assert _outcome(weakly_spherical, d) == _outcome(
+                _ref_weakly_spherical, ref
+            ), (cp, eps)
 
 
 # ----------------------------------------------------------------- defect
