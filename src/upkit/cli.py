@@ -25,6 +25,7 @@ from .partitions import (
     ClassPartition,
     GroupType,
     Partition,
+    _int_set,
     classify,
     enumerate_classes,
 )
@@ -43,8 +44,6 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
 
-DEFAULT_MAX_N = DEFAULT_ENUMERATION_BOUND
-
 
 @dataclass(frozen=True)
 class QuerySpec:
@@ -60,7 +59,7 @@ class QuerySpec:
 def _max_n_cap() -> int:
     raw = os.environ.get("UPKIT_MAX_N", "")
     try:
-        return int(raw) if raw else DEFAULT_MAX_N
+        return int(raw) if raw else DEFAULT_ENUMERATION_BOUND
     except ValueError:
         raise SystemExit(_fail(EXIT_USAGE, f"UPKIT_MAX_N={raw!r} is not an integer"))
 
@@ -77,11 +76,6 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _parse_J(text: str) -> frozenset[int]:
-    body = text.strip().strip("{}")
-    return frozenset(int(tok) for tok in body.split(",") if tok.strip())
-
-
 def _build_query(args) -> QuerySpec:
     lam = Partition.from_text(args.partition)
     gt = GroupType.from_letter(args.dual, lam.size)
@@ -94,7 +88,7 @@ def _build_query(args) -> QuerySpec:
         eps = CharFn.from_text(cp, eps_text)
     J = None
     if getattr(args, "J", None) is not None:
-        J = _parse_J(args.J)
+        J = _int_set(args.J)
     return QuerySpec(
         dual_type=gt.letter, cp=cp, eps=eps, z=getattr(args, "z", 1), J=J
     )
@@ -131,7 +125,6 @@ def cmd_classes(args) -> int:
 def cmd_class_info(q: QuerySpec, args) -> int:
     cp = q.cp
     bs = block_structure(cp)
-    piece = sorted(special_piece(cp), key=lambda t: (len(t[0]), sorted(t[0])))
     _emit(
         {
             "A0_size": char_group_order(cp),
@@ -141,7 +134,7 @@ def cmd_class_info(q: QuerySpec, args) -> int:
             "J": sorted(bs.J_set),
             "S": list(cp.S),
             "S0": list(cp.S0),
-            "Spc": [mu.lam.to_text() for _, mu in piece],
+            "Spc": [mu.lam.to_text() for _, mu in special_piece(cp)],
             "blocks": [list(b) for b in bs.blocks],
             "d": bvls_dual(cp).lam.to_text(),
             "dual": q.dual_type,
@@ -154,7 +147,7 @@ def cmd_class_info(q: QuerySpec, args) -> int:
 
 
 def cmd_weak_packet(q: QuerySpec, args) -> int:
-    rows = sorted(weak_packet(q.cp, q.z), key=lambda r: (len(r.J), sorted(r.J)))
+    rows = weak_packet(q.cp, q.z)
     for row in rows:
         _emit(
             {
@@ -181,7 +174,6 @@ def cmd_weak_packet(q: QuerySpec, args) -> int:
 
 def cmd_membership(q: QuerySpec, args) -> int:
     hits = packets_containing(q.cp, q.eps, q.z)
-    hits.sort(key=lambda t: (len(t[0]), sorted(t[0])))
     if q.J is not None:
         near_tempered_table(q.cp, q.J, q.z)  # validates J against J(lam)
         _emit(

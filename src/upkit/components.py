@@ -35,7 +35,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import NotCanonical, NotInJ, NotInPiece
-from .partitions import ClassPartition, Partition, classify, difference, union
+from .partitions import ClassPartition, Partition, _int_set, classify, difference, union
 
 __all__ = [
     "CharFn",
@@ -80,9 +80,7 @@ class CharFn:
                     f"sign string length {len(signs)} != |S(lam)| = {len(cp.S)}"
                 )
             return cls(cp, frozenset(v for v, ch in zip(cp.S, signs) if ch == "-"))
-        body = body.strip("{}")
-        values = frozenset(int(tok) for tok in body.split(",") if tok.strip())
-        return cls(cp, values)
+        return cls(cp, _int_set(body))
 
     def to_text(self) -> str:
         return "(" + "".join("-" if v in self.subset else "+" for v in self.base.S) + ")"
@@ -248,10 +246,21 @@ def _meets_evenly(subset: frozenset[int], S0) -> bool:
 
 
 def _subsets_in_order(S):
-    """Every subset of S, smallest-first, then lexicographic."""
+    """Every subset of S, smallest-first, then lexicographic: the one order
+    in which J lists and characters are walked and listed."""
+    S = sorted(S)
     for k in range(len(S) + 1):
         for combo in itertools.combinations(S, k):
             yield frozenset(combo)
+
+
+def _within_J(cp: ClassPartition, J) -> frozenset[int]:
+    """J as a frozenset; :class:`NotInJ` unless J lies inside J(lam)."""
+    J = frozenset(J)
+    allowed = block_structure(cp).J_set
+    if not J <= allowed:
+        raise NotInJ(f"{sorted(J - allowed)} not in J(lam) = {sorted(allowed)}")
+    return J
 
 
 @functools.lru_cache(maxsize=None)
@@ -300,9 +309,7 @@ def t_character(cp: ClassPartition, c: int):
     so for c = 1 only the neighbour 2 is consulted).  Raises
     :class:`NotInJ` for c outside J(lam).
     """
-    bs = block_structure(cp)
-    if c not in bs.J_set:
-        raise NotInJ(f"{c} not in J(lam) = {sorted(bs.J_set)}")
+    _within_J(cp, {c})
     neighbours = frozenset(v for v in (c - 1, c + 1) if v >= 1)
 
     def t_c(eps: CharFn) -> int:
@@ -344,6 +351,12 @@ def _piece_move_set(cp: ClassPartition, mu: ClassPartition) -> frozenset[int]:
     return J
 
 
+def _check_canonical(cp: ClassPartition, eps: CharFn) -> None:
+    """:class:`NotCanonical` unless eps lies in Pdagger(lam)_0."""
+    if eps.base != cp or eps not in canonical_subgroup(cp):
+        raise NotCanonical(f"{eps!r} not in the canonical subgroup of {cp.lam!r}")
+
+
 def is_primitive(cp: ClassPartition, eps: CharFn, mu) -> bool:
     """Whether eps in Pdagger(lam)_0 survives into the packet labelled mu.
 
@@ -351,8 +364,7 @@ def is_primitive(cp: ClassPartition, eps: CharFn, mu) -> bool:
     test is t_c(eps) != 1 for every c in J(lam) minus J(mu).
     """
     mu = _as_class(mu, cp.gt)
-    if eps.base != cp or eps not in canonical_subgroup(cp):
-        raise NotCanonical(f"{eps!r} not in the canonical subgroup of {cp.lam!r}")
+    _check_canonical(cp, eps)
     J = _piece_move_set(cp, mu)
     return all(t_character(cp, c)(eps) != 1 for c in J)
 
@@ -392,8 +404,7 @@ def iota_embed(src: ClassPartition, dst: ClassPartition, eps: CharFn) -> CharFn:
     embeddings along a chain of moves is path-independent.
     """
     src = _as_class(src, dst.gt)
-    if eps.base != src or eps not in canonical_subgroup(src):
-        raise NotCanonical(f"{eps!r} not in the canonical subgroup of {src.lam!r}")
+    _check_canonical(src, eps)
     J = _piece_move_set(dst, src)
     if not J:
         return CharFn(dst, eps.subset)

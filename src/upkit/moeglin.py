@@ -40,9 +40,9 @@ from collections import Counter
 from dataclasses import dataclass
 from math import prod
 
-from .components import CharFn, block_structure, char_group, t_character
-from .errors import BoundExceeded, MalformedOutput, MoveNotApplicable, NotInJ
-from .params import ATable, near_tempered_table, tempered_table
+from .components import CharFn, _within_J, char_group, t_character
+from .errors import BoundExceeded, MalformedOutput, MoveNotApplicable
+from .params import ATable, _check_z, near_tempered_table, tempered_table
 from .partitions import ClassPartition
 
 __all__ = [
@@ -434,8 +434,7 @@ def tempered_intersection(cp: ClassPartition, z: int, J) -> tuple[CharFn, ...]:
     These are the characters in P(lam)_0 with t_c != 1 for every c in J;
     J = empty set keeps everything.
     """
-    if z == -1 and cp.gt.s == 1:
-        raise ValueError("z = -1 needs a dual group with a center (s = -1)")
+    _check_z(z, cp.gt)
     ts = [t_character(cp, c) for c in sorted(set(J))]
     return tuple(eps for eps in char_group(cp) if all(t(eps) != 1 for t in ts))
 
@@ -462,10 +461,7 @@ def merge_chain(cp: ClassPartition, eps: CharFn, J, z: int = 1):
     c = 1 uses the phantom slot.  Raises MoveNotApplicable exactly when
     eps fails a t_c sign condition, i.e. lies outside the intersection.
     """
-    J = frozenset(J)
-    missing = J - block_structure(cp).J_set
-    if missing:
-        raise NotInJ(f"{sorted(missing)} not in J(lam)")
+    J = _within_J(cp, J)
     m, ao, mp = moeglin_param_of_tempered(cp, eps, z)
     for c in sorted(J):
         if c == 1:

@@ -21,12 +21,18 @@ checks that equality by brute force.
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .components import block_structure, canonical_subgroup, char_group_order, t_character
-from .errors import BoundExceeded, MalformedOutput, NotCanonical, NotInJ
+from .components import (
+    _check_canonical,
+    _subsets_in_order,
+    _within_J,
+    block_structure,
+    char_group_order,
+    t_character,
+)
+from .errors import BoundExceeded, MalformedOutput
 from .partitions import ClassPartition, GroupType, Partition, classify, difference
 from .pieces import bvls_dual, special_piece
 
@@ -49,6 +55,15 @@ __all__ = [
 ENUM_BOUND = 16
 
 
+def _check_z(z: int, gt: GroupType | None = None) -> None:
+    """z is +1 or -1, and -1 only for s = -1, where the dual group has a
+    center to see it (checked when gt is given)."""
+    if z not in (1, -1):
+        raise ValueError("z must be +1 or -1")
+    if z == -1 and gt is not None and gt.s == 1:
+        raise ValueError("z = -1 needs a dual group with a center (s = -1)")
+
+
 @dataclass(frozen=True)
 class ATable:
     """A multiset of (a, b) entries with the global sign z.
@@ -66,10 +81,7 @@ class ATable:
     def __post_init__(self) -> None:
         entries = tuple(sorted((int(a), int(b)) for a, b in self.entries))
         object.__setattr__(self, "entries", entries)
-        if self.z not in (1, -1):
-            raise ValueError("z must be +1 or -1")
-        if self.z == -1 and self.gt.s == 1:
-            raise ValueError("z = -1 needs a dual group with a center (s = -1)")
+        _check_z(self.z, self.gt)
         total = sum(a * b for a, b in entries)
         if total != self.gt.N:
             raise ValueError(f"dimensions sum to {total}, expected {self.gt.N}")
@@ -144,8 +156,7 @@ class LParam:
     def __post_init__(self) -> None:
         summands = tuple(sorted((int(j2), int(k)) for j2, k in self.summands))
         object.__setattr__(self, "summands", summands)
-        if self.z not in (1, -1):
-            raise ValueError("z must be +1 or -1")
+        _check_z(self.z)
         if Counter(summands) != Counter((-j2, k) for j2, k in summands):
             raise ValueError("summand multiset is not self-dual")
         if any(k < 1 for _, k in summands):
@@ -178,10 +189,7 @@ def near_tempered_table(cp: ClassPartition, J, z: int = 1) -> ATable:
 
     Raises :class:`NotInJ` when J is not a subset of J(lam).
     """
-    J = frozenset(J)
-    allowed = block_structure(cp).J_set
-    if not J <= allowed:
-        raise NotInJ(f"{sorted(J - allowed)} not in J(lam) = {sorted(allowed)}")
+    J = _within_J(cp, J)
     removed = [v for c in J for v in (c - 1, c + 1) if v >= 1]
     rest = difference(cp.lam, removed)
     entries = [(a, 1) for a in rest] + [(c, 2) for c in J]
@@ -256,17 +264,9 @@ def packets_containing(cp: ClassPartition, eps, z: int = 1) -> list[tuple[frozen
     :class:`NotCanonical`); the packet for J contains it exactly when
     t_c(eps) != 1 for every c in J, so J = empty set always qualifies.
     """
-    if eps.base != cp or eps not in canonical_subgroup(cp):
-        raise NotCanonical(f"{eps!r} not in the canonical subgroup of {cp.lam!r}")
-    Jall = sorted(block_structure(cp).J_set)
-    ts = {c: t_character(cp, c) for c in Jall}
-    hits = [c for c in Jall if ts[c](eps) != 1]
-    out = []
-    for k in range(len(hits) + 1):
-        for combo in itertools.combinations(hits, k):
-            J = frozenset(combo)
-            out.append((J, near_tempered_table(cp, J, z)))
-    return out
+    _check_canonical(cp, eps)
+    hits = [c for c in block_structure(cp).J_set if t_character(cp, c)(eps) != 1]
+    return [(J, near_tempered_table(cp, J, z)) for J in _subsets_in_order(hits)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -300,25 +300,20 @@ def _run_decompositions(remaining: tuple[int, ...]) -> frozenset:
     return frozenset(out)
 
 
-def enumerate_lparams_with_inf_char(
-    chi: InfChar, gt: GroupType, bound: int = ENUM_BOUND
-) -> list[LParam]:
+def enumerate_lparams_with_inf_char(chi: InfChar, gt: GroupType) -> list[LParam]:
     """Every self-dual L-parameter of type gt with infinitesimal character chi.
 
     Exhaustive search over the self-dual run covers of the eigenvalue
     multiset; kept are the covers whose j2 = 0 summands of the wrong
     symmetry (symplectic nu_k for s = +1, orthogonal for s = -1) pair up.
-    Raises :class:`BoundExceeded` when the dimension exceeds ``bound``.
+    Raises :class:`BoundExceeded` when the dimension exceeds ENUM_BOUND.
     """
     N = len(chi.eigen)
     if N != gt.N:
         raise ValueError(f"character has {N} eigenvalues, expected {gt.N}")
-    if N > bound:
-        raise BoundExceeded(f"N = {N} exceeds enumeration bound {bound}")
-    if chi.z not in (1, -1):
-        raise ValueError("z must be +1 or -1")
-    if chi.z == -1 and gt.s == 1:
-        raise ValueError("z = -1 needs a dual group with a center (s = -1)")
+    if N > ENUM_BOUND:
+        raise BoundExceeded(f"N = {N} exceeds enumeration bound {ENUM_BOUND}")
+    _check_z(chi.z, gt)
     wrong = 0 if gt.s == 1 else 1  # parity of the k whose nu_k has the wrong symmetry
     found = []
     for summands in sorted(_run_decompositions(chi.eigen)):
@@ -349,7 +344,7 @@ def _sl2_dual(ks: tuple[int, ...], gt: GroupType) -> ClassPartition:
     return bvls_dual(classify(Partition(ks), gt))
 
 
-def verify_almost_intro(cp: ClassPartition, z: int = 1, bound: int = ENUM_BOUND) -> AlmostIntroReport:
+def verify_almost_intro(cp: ClassPartition, z: int = 1) -> AlmostIntroReport:
     """Check that the parameters with character chi_{z,lam} and the same
     dual as lam are exactly the near-tempered family of the piece cube."""
     expected = frozenset(
@@ -359,7 +354,7 @@ def verify_almost_intro(cp: ClassPartition, z: int = 1, bound: int = ENUM_BOUND)
     d_lam = bvls_dual(cp)
     found = frozenset(
         phi
-        for phi in enumerate_lparams_with_inf_char(chi_z_lambda(cp, z), cp.gt, bound)
+        for phi in enumerate_lparams_with_inf_char(chi_z_lambda(cp, z), cp.gt)
         if _sl2_dual(tuple(sorted(k for _, k in phi.summands)), cp.gt) == d_lam
     )
     return AlmostIntroReport(ok=(found == expected), expected=expected, found=found)

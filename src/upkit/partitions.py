@@ -22,6 +22,7 @@ every other module consumes:
 """
 
 import itertools
+import re
 
 from .errors import BoundExceeded, NotContained, ParityViolation, WrongTotal
 
@@ -37,6 +38,24 @@ __all__ = [
     "enumerate_classes",
     "good_parity_classes",
 ]
+
+
+_INT_TOKEN = re.compile(r"-?[0-9]+")
+
+
+def _int_token(token):
+    """An optional minus sign and ASCII digits; ``int`` alone would also
+    read ``1_0``, ``+5`` and non-ASCII digits as numbers."""
+    token = token.strip()
+    if not _INT_TOKEN.fullmatch(token):
+        raise ValueError(f"{token!r} is not an integer")
+    return int(token)
+
+
+def _int_set(text):
+    """The integers of a set ``{a,b}``; braces optional, empty tokens skipped."""
+    body = text.strip().strip("{}")
+    return frozenset(_int_token(tok) for tok in body.split(",") if tok.strip())
 
 
 class Partition:
@@ -74,8 +93,9 @@ class Partition:
 
         Exponents distribute over single parts only: ``7^4`` contributes
         four parts equal to 7.  An exponent must be a positive integer;
-        ``7^0`` or ``7^-1`` raises ValueError.  Whitespace around tokens
-        is ignored.
+        ``7^0`` or ``7^-1`` raises ValueError.  Every number is an optional
+        minus sign and ASCII digits (``1_0``, ``+5`` and non-ASCII digits
+        raise ValueError).  Whitespace around tokens is ignored.
         """
         text = text.strip()
         if not text or text in ("-", "0", "()"):
@@ -85,12 +105,12 @@ class Partition:
             token = token.strip()
             if "^" in token:
                 base, _, exp = token.partition("^")
-                count = int(exp)
+                count = _int_token(exp)
                 if count <= 0:
                     raise ValueError(f"exponent in {token!r} must be positive")
-                parts.extend([int(base)] * count)
+                parts.extend([_int_token(base)] * count)
             else:
-                parts.append(int(token))
+                parts.append(_int_token(token))
         return cls(parts)
 
     def to_text(self):
@@ -398,27 +418,27 @@ def _class_parts(gt, good_only):
     return rec(gt.N, gt.N)
 
 
-def _check_bound(gt, bound):
-    if gt.N > bound:
-        raise BoundExceeded(f"N = {gt.N} exceeds enumeration bound {bound}")
+def _check_bound(gt):
+    if gt.N > DEFAULT_ENUMERATION_BOUND:
+        raise BoundExceeded(f"N = {gt.N} exceeds enumeration bound {DEFAULT_ENUMERATION_BOUND}")
 
 
-def enumerate_classes(gt, bound=DEFAULT_ENUMERATION_BOUND):
+def enumerate_classes(gt):
     """All unipotent class partitions for gt, in reverse-lex order.
 
-    Raises :class:`BoundExceeded` when N exceeds ``bound`` (the class
-    count grows superpolynomially; the default bound of 60 keeps runtimes
-    sane while covering everything the verification suites need).
+    Raises :class:`BoundExceeded` when N exceeds DEFAULT_ENUMERATION_BOUND
+    (the class count grows superpolynomially; the bound of 60 keeps
+    runtimes sane while covering everything the verification suites need).
     """
-    _check_bound(gt, bound)
+    _check_bound(gt)
     return list(_class_parts(gt, False))
 
 
 def good_parity_classes(gt):
     """The classes of :func:`enumerate_classes` without bad-parity parts.
 
-    Same order and same :class:`BoundExceeded` gate at the default bound;
-    the bad-parity classes are never generated.
+    Same order and same :class:`BoundExceeded` gate; the bad-parity
+    classes are never generated.
     """
-    _check_bound(gt, DEFAULT_ENUMERATION_BOUND)
+    _check_bound(gt)
     return list(_class_parts(gt, True))

@@ -23,11 +23,10 @@ special partitions and its fibers are the special pieces.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
-from .components import BlockStructure, _t_down_raw, _t_up_raw, block_structure
-from .errors import NotInI, NotInJ
+from .components import _subsets_in_order, _t_down_raw, _t_up_raw, _within_J, block_structure
+from .errors import NotInI
 from .partitions import (
     ClassPartition,
     GroupType,
@@ -74,11 +73,7 @@ def is_special(cp: ClassPartition) -> bool:
 
 def T_down(cp: ClassPartition, J) -> ClassPartition:
     """Apply the downward moves for J, which must lie inside J(lam)."""
-    J = frozenset(J)
-    allowed = block_structure(cp).J_set
-    if not J <= allowed:
-        raise NotInJ(f"{sorted(J - allowed)} not in J(lam) = {sorted(allowed)}")
-    return classify(_t_down_raw(cp.lam, J), cp.gt)
+    return classify(_t_down_raw(cp.lam, _within_J(cp, J)), cp.gt)
 
 
 def T_up(cp: ClassPartition, I) -> ClassPartition:
@@ -103,13 +98,7 @@ def special_piece(cp: ClassPartition) -> list[tuple[frozenset[int], ClassPartiti
     general it is the part of the piece lying under lam in the closure
     order.
     """
-    Jall = sorted(block_structure(cp).J_set)
-    out = []
-    for k in range(len(Jall) + 1):
-        for combo in itertools.combinations(Jall, k):
-            J = frozenset(combo)
-            out.append((J, T_down(cp, J)))
-    return out
+    return [(J, T_down(cp, J)) for J in _subsets_in_order(block_structure(cp).J_set)]
 
 
 def collapse(lam: Partition, gt: GroupType) -> Partition:

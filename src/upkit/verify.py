@@ -14,7 +14,7 @@ LR against the W_n oracle) stay in separate modules that share no code.
 
 from __future__ import annotations
 
-from .components import block_structure, canonical_subgroup, char_group
+from .components import _subsets_in_order, block_structure, canonical_subgroup, char_group
 from .moeglin import arthur_character, merge_chain, tempered_intersection
 from .params import ENUM_BOUND, verify_almost_intro
 from .partitions import (
@@ -96,9 +96,7 @@ def check_js(gt: GroupType) -> int:
     checked = 0
     zs = (1,) if gt.s == 1 else (1, -1)
     for cp in enumerate_classes(gt):
-        J_all = sorted(block_structure(cp).J_set)
-        for mask in range(1 << len(J_all)):
-            J = frozenset(J_all[i] for i in range(len(J_all)) if mask >> i & 1)
+        for J in _subsets_in_order(block_structure(cp).J_set):
             for z in zs:
                 for eps in tempered_intersection(cp, z, J):
                     # merge_chain raises MalformedOutput when it misses
@@ -229,7 +227,7 @@ SUITES = (*CHECKS, "oracle")
 
 # The largest N (for the oracle: n) each suite runs at.  The oracle is
 # correct through wreps.ORACLE_BOUND = 6, and its n = 6 cell (1,029
-# checks) takes about 1.2 s; the bound stays 5 because perfbench/expected.json and
+# checks) takes about 0.7 s; the bound stays 5 because perfbench/expected.json and
 # tests/test_cli.py pin the 792 oracle checks of a run through maxN >= 5.
 BOUNDS = {suite: DEFAULT_ENUMERATION_BOUND for suite in CHECKS}
 BOUNDS["almost"] = ENUM_BOUND

@@ -400,12 +400,7 @@ def _sym_table(k: int) -> dict:
 
 def _wn_classes(n: int) -> tuple:
     """Conjugacy classes of W_n: (positive, negative) cycle-type pairs."""
-    return tuple(
-        (rp, rm)
-        for a in range(n, -1, -1)
-        for rp in partitions_of(a)
-        for rm in partitions_of(n - a)
-    )
+    return tuple((bp.alpha, bp.beta) for bp in bipartitions_of(n))
 
 
 def _zwn(rp, rm) -> int:
@@ -424,49 +419,50 @@ def _splits(rho):
         yield sub, rest
 
 
-def _induced_wchar(alpha, beta, sym_a, sym_b, cls) -> int:
-    """Character of (alpha, beta) at a W_n-class, by the induction formula.
+def _class_terms(rp, rm, n: int) -> dict:
+    """The induction-formula terms at the W_n class (rp, rm), by a.
 
-    The extension of V_alpha x V_beta evaluates, on a W_a x W_b class
-    (sigma+, sigma-) x (tau+, tau-), to
+    The extension of V_alpha x V_beta (|alpha| = a) evaluates, on a
+    W_a x W_{n-a} class (sigma+, sigma-) x (tau+, tau-), to
     chi_alpha(sigma+ u sigma-) chi_beta(tau+ u tau-) (-1)^{#parts tau-}.
+    Returns {a: {(sigma+ u sigma-, tau+ u tau-): weight}}, the weight
+    summing sign times class size, scaled by the order of W_a x W_{n-a}
+    so that it is an integer.
     """
-    rp, rm = cls
-    a, b = alpha.size, beta.size
-    # the class sum over W_a x W_b, scaled by its order so that every
-    # term (character times class size) is an integer
-    order = 2 ** (a + b) * math.factorial(a) * math.factorial(b)
-    acc = 0
+    terms = {}
     for sp, tp in _splits(rp):
         for sm, tm in _splits(rm):
-            if sp.size + sm.size != a:
-                continue
-            va = sym_a[alpha][union(sp, sm)]
-            vb = sym_b[beta][union(tp, tm)]
-            sign = -1 if len(tm) % 2 else 1
+            a = sp.size + sm.size
+            order = 2**n * math.factorial(a) * math.factorial(n - a)
             size, rem = divmod(order, _zwn(sp, sm) * _zwn(tp, tm))
             if rem:
                 raise MalformedOutput("centralizer order does not divide the group order")
-            acc += va * vb * sign * size
-    val, rem = divmod(acc * _zwn(rp, rm), order)
-    if rem:
-        raise MalformedOutput("non-integral induced character value")
-    return val
+            key = (union(sp, sm), union(tp, tm))
+            by_a = terms.setdefault(a, Counter())
+            by_a[key] += -size if len(tm) % 2 else size
+    return terms
 
 
 @lru_cache(maxsize=None)
 def _wn_table(n: int) -> dict:
     """Character table of W_n as {Bipartition: {class: value}}, every row
-    listing the classes in :func:`_wn_classes` order."""
-    classes = _wn_classes(n)
-    table = {}
-    for bp in bipartitions_of(n):
-        sym_a = _sym_table(bp.alpha.size)
-        sym_b = _sym_table(bp.beta.size)
-        table[bp] = {
-            cls: _induced_wchar(bp.alpha, bp.beta, sym_a, sym_b, cls)
-            for cls in classes
-        }
+    listing the classes in :func:`_wn_classes` order.
+
+    Class by class: the terms of a class are built once, and each value
+    is one integer sum over the terms of its bipartition's a.
+    """
+    table = {bp: {} for bp in bipartitions_of(n)}
+    for cls in _wn_classes(n):
+        terms = _class_terms(*cls, n)
+        z = _zwn(*cls)
+        for bp, row in table.items():
+            a, b = bp.alpha.size, bp.beta.size
+            chi_a, chi_b = _sym_table(a)[bp.alpha], _sym_table(b)[bp.beta]
+            acc = sum(chi_a[s] * chi_b[t] * w for (s, t), w in terms.get(a, {}).items())
+            val, rem = divmod(acc * z, 2**n * math.factorial(a) * math.factorial(b))
+            if rem:
+                raise MalformedOutput("non-integral induced character value")
+            row[cls] = val
     return table
 
 

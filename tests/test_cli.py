@@ -247,6 +247,25 @@ def test_nonpositive_exponent_is_usage_error(capsys):
     assert code == 2 and lines == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["class-info", "--dual", "B", "--partition", "1_0"],
+        ["class-info", "--dual", "B", "--partition", "\u0665,\u0663,\u0661"],
+        ["membership", "--dual", "B", "--partition", "5,3,1", "--eps=--+", "--J", "{0_4}"],
+        ["sphericity", "--dual", "B", "--partition", "5,3,1", "--eps", "{1_0}"],
+    ],
+    ids=["underscore-partition", "arabic-indic-digits", "underscore-J", "underscore-eps"],
+)
+def test_integer_tokens_are_ascii_digits_only(capsys, argv):
+    # int() alone reads 1_0 as 10, +5 as 5 and non-ASCII digits as numbers
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "is not an integer" in captured.err
+
+
 def test_bad_parity_partition(capsys):
     # N even cannot be a B dual
     code, _ = run(capsys, "class-info", "--dual", "B", "--partition", "4,4")

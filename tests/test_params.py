@@ -199,6 +199,28 @@ def test_enumeration_rejects_bad_z():
         enumerate_lparams_with_inf_char(InfChar(5, eigen), GroupType(1, 3))
 
 
+def test_enumeration_rejects_negative_z_without_center():
+    eigen = chi_z_lambda(B("3")).eigen
+    with pytest.raises(ValueError, match="needs a dual group with a center"):
+        enumerate_lparams_with_inf_char(InfChar(-1, eigen), GroupType(1, 3))
+
+
+def _in_subset_order(Js):
+    keys = [(len(J), sorted(J)) for J in Js]
+    return keys == sorted(keys) and len(set(map(frozenset, Js))) == len(Js)
+
+
+@pytest.mark.parametrize("N", range(1, 17))
+def test_J_lists_are_smallest_first_then_lexicographic(N):
+    # the CLI prints these lists as they come, without re-sorting
+    gt = GroupType(1 if N % 2 else -1, N)
+    for cp in enumerate_classes(gt):
+        assert _in_subset_order([J for J, _ in special_piece(cp)]), cp
+        assert _in_subset_order([row.J for row in weak_packet(cp)]), cp
+        for eps in canonical_subgroup(cp):
+            assert _in_subset_order([J for J, _ in packets_containing(cp, eps)]), (cp, eps)
+
+
 def test_enumerate_small_fixture():
     gt = GroupType(1, 3)
     chi = chi_z_lambda(B("3"))

@@ -1,9 +1,13 @@
-"""Property tests of the partition text format (needs ``hypothesis``)."""
+"""Property tests of the partition and character text formats (needs
+``hypothesis``)."""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from upkit.partitions import Partition
+from upkit.components import CharFn
+from upkit.partitions import GroupType, Partition, enumerate_classes
+
+CLASSES = [cp for N in range(1, 15) for cp in enumerate_classes(GroupType(1 if N % 2 else -1, N))]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=12), max_size=12))
@@ -34,3 +38,14 @@ def test_exponent_parse_property(tokens):
     else:
         assert valid
         assert lam.size == sum(base * exp for base, exp in tokens)
+
+
+@given(st.data())
+def test_charfn_text_roundtrip_property(data):
+    # the sign form to_text writes, and the set form {a,b}, both read back
+    cp = data.draw(st.sampled_from(CLASSES))
+    subset = data.draw(st.frozensets(st.sampled_from(cp.S))) if cp.S else frozenset()
+    fn = CharFn(cp, subset)
+    assert CharFn.from_text(cp, fn.to_text()) == fn
+    set_text = "{" + ",".join(str(v) for v in sorted(subset)) + "}"
+    assert CharFn.from_text(cp, set_text) == fn
