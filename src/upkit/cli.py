@@ -15,17 +15,16 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
 
-from .components import CharFn, block_structure, canonical_subgroup, char_group_order
+from .components import CharFn, _within_J, block_structure, canonical_subgroup, char_group_order
 from .errors import MalformedOutput, UpkitError
-from .params import near_tempered_table, packets_containing, weak_packet
+from .params import packets_containing, weak_packet
 from .partitions import (
     DEFAULT_ENUMERATION_BOUND,
-    ClassPartition,
     GroupType,
     Partition,
     _int_set,
+    _int_token,
     classify,
     enumerate_classes,
 )
@@ -45,21 +44,10 @@ EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
 
 
-@dataclass(frozen=True)
-class QuerySpec:
-    """Validated command inputs; built before any computation runs."""
-
-    dual_type: str
-    cp: ClassPartition
-    eps: CharFn | None = None
-    z: int = 1
-    J: frozenset[int] | None = None
-
-
 def _max_n_cap() -> int:
     raw = os.environ.get("UPKIT_MAX_N", "")
     try:
-        return int(raw) if raw else DEFAULT_ENUMERATION_BOUND
+        return _int_token(raw) if raw else DEFAULT_ENUMERATION_BOUND
     except ValueError:
         raise SystemExit(_fail(EXIT_USAGE, f"UPKIT_MAX_N={raw!r} is not an integer"))
 
@@ -76,22 +64,19 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _build_query(args) -> QuerySpec:
+def _read_class(args) -> None:
+    """Set args.cp, args.eps (trivial without --eps) and args.J from argv."""
     lam = Partition.from_text(args.partition)
-    gt = GroupType.from_letter(args.dual, lam.size)
-    cp = classify(lam, gt)
-    eps = None
+    args.cp = classify(lam, GroupType.from_letter(args.dual, lam.size))
     eps_text = getattr(args, "eps", None)
-    if eps_text is not None:
-        if not isinstance(eps_text, str):  # argparse eats a bare "--"
-            raise ValueError("empty --eps value")
-        eps = CharFn.from_text(cp, eps_text)
-    J = None
+    if eps_text is None:
+        args.eps = CharFn(args.cp, frozenset())
+    elif not isinstance(eps_text, str):  # argparse eats a bare "--"
+        raise ValueError("empty --eps value")
+    else:
+        args.eps = CharFn.from_text(args.cp, eps_text)
     if getattr(args, "J", None) is not None:
-        J = _int_set(args.J)
-    return QuerySpec(
-        dual_type=gt.letter, cp=cp, eps=eps, z=getattr(args, "z", 1), J=J
-    )
+        args.J = _int_set(args.J)
 
 
 def _eps_fields(eps: CharFn) -> dict:
@@ -122,8 +107,8 @@ def cmd_classes(args) -> int:
     return EXIT_OK
 
 
-def cmd_class_info(q: QuerySpec, args) -> int:
-    cp = q.cp
+def cmd_class_info(args) -> int:
+    cp = args.cp
     bs = block_structure(cp)
     _emit(
         {
@@ -137,7 +122,7 @@ def cmd_class_info(q: QuerySpec, args) -> int:
             "Spc": [mu.lam.to_text() for _, mu in special_piece(cp)],
             "blocks": [list(b) for b in bs.blocks],
             "d": bvls_dual(cp).lam.to_text(),
-            "dual": q.dual_type,
+            "dual": cp.gt.letter,
             "partition": cp.lam.to_text(),
             "special": bs.special,
         },
@@ -146,8 +131,8 @@ def cmd_class_info(q: QuerySpec, args) -> int:
     return EXIT_OK
 
 
-def cmd_weak_packet(q: QuerySpec, args) -> int:
-    rows = weak_packet(q.cp, q.z)
+def cmd_weak_packet(args) -> int:
+    rows = weak_packet(args.cp, args.z)
     for row in rows:
         _emit(
             {
@@ -172,16 +157,16 @@ def cmd_weak_packet(q: QuerySpec, args) -> int:
     return EXIT_OK
 
 
-def cmd_membership(q: QuerySpec, args) -> int:
-    hits = packets_containing(q.cp, q.eps, q.z)
-    if q.J is not None:
-        near_tempered_table(q.cp, q.J, q.z)  # validates J against J(lam)
+def cmd_membership(args) -> int:
+    hits = packets_containing(args.cp, args.eps, args.z)
+    if args.J is not None:
+        _within_J(args.cp, args.J)
         _emit(
             {
-                "J": sorted(q.J),
-                "contains": q.J in {J for J, _ in hits},
-                **_eps_fields(q.eps),
-                "partition": q.cp.lam.to_text(),
+                "J": sorted(args.J),
+                "contains": args.J in {J for J, _ in hits},
+                **_eps_fields(args.eps),
+                "partition": args.cp.lam.to_text(),
                 "record": "membership",
             },
             args.pretty,
@@ -196,9 +181,9 @@ def cmd_membership(q: QuerySpec, args) -> int:
     return EXIT_OK
 
 
-def cmd_springer(q: QuerySpec, args) -> int:
-    eps = q.eps if q.eps is not None else CharFn(q.cp, frozenset())
-    sd = springer_data(q.cp, eps)
+def cmd_springer(args) -> int:
+    cp, eps = args.cp, args.eps
+    sd = springer_data(cp, eps)
     sigma = springer_bipartition(sd)
     _emit(
         {
@@ -209,24 +194,24 @@ def cmd_springer(q: QuerySpec, args) -> int:
             "alpha": list(sigma.alpha),
             "beta": list(sigma.beta),
             "defect0": defect(sd, 0),
-            "dual": q.dual_type,
+            "dual": cp.gt.letter,
             **_eps_fields(eps),
             "gamma": list(gamma_seq(sd)),
-            "partition": q.cp.lam.to_text(),
+            "partition": cp.lam.to_text(),
         },
         args.pretty,
     )
     return EXIT_OK
 
 
-def cmd_sphericity(q: QuerySpec, args) -> int:
-    eps = q.eps if q.eps is not None else CharFn(q.cp, frozenset())
+def cmd_sphericity(args) -> int:
+    cp, eps = args.cp, args.eps
     _emit(
         {
-            "dual": q.dual_type,
+            "dual": cp.gt.letter,
             **_eps_fields(eps),
-            "partition": q.cp.lam.to_text(),
-            "weakly_spherical": weakly_spherical_general(q.cp, eps),
+            "partition": cp.lam.to_text(),
+            "weakly_spherical": weakly_spherical_general(cp, eps),
         },
         args.pretty,
     )
@@ -308,8 +293,22 @@ def cmd_verify(args) -> int:
 # -------------------------------------------------------------- the parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's usage errors as one ``upkit: ...`` line, exit 2."""
+
+    def error(self, message):
+        raise SystemExit(_fail(EXIT_USAGE, message))
+
+
+def _integer(text: str) -> int:
+    try:
+        return _int_token(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="upkit",
         description="unipotent classes, canonical quotients, weak packets",
     )
@@ -323,41 +322,41 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classes", help="enumerate classes for a dual group")
     common(p, partition=False)
-    p.add_argument("--N", type=int, required=True)
-    p.set_defaults(fn=cmd_classes, query=False)
+    p.add_argument("--N", type=_integer, required=True)
+    p.set_defaults(fn=cmd_classes)
 
     p = sub.add_parser("class-info", help="canonical quotient data of a class")
     common(p)
-    p.set_defaults(fn=cmd_class_info, query=True)
+    p.set_defaults(fn=cmd_class_info)
 
     p = sub.add_parser("weak-packet", help="L-packet rows of the weak packet")
     common(p)
-    p.add_argument("--z", type=int, default=1, choices=(1, -1))
-    p.set_defaults(fn=cmd_weak_packet, query=True)
+    p.add_argument("--z", type=_integer, default=1, choices=(1, -1))
+    p.set_defaults(fn=cmd_weak_packet)
 
     p = sub.add_parser("membership", help="packets containing a member")
     common(p)
     p.add_argument("--eps", required=True)
-    p.add_argument("--z", type=int, default=1, choices=(1, -1))
+    p.add_argument("--z", type=_integer, default=1, choices=(1, -1))
     p.add_argument("--J")
-    p.set_defaults(fn=cmd_membership, query=True)
+    p.set_defaults(fn=cmd_membership)
 
     p = sub.add_parser("springer", help="Springer bipartition of (lam, eps)")
     common(p)
     p.add_argument("--eps")
-    p.set_defaults(fn=cmd_springer, query=True)
+    p.set_defaults(fn=cmd_springer)
 
     p = sub.add_parser("sphericity", help="weak sphericity of (lam, eps)")
     common(p)
     p.add_argument("--eps")
-    p.set_defaults(fn=cmd_sphericity, query=True)
+    p.set_defaults(fn=cmd_sphericity)
 
     p = sub.add_parser("verify", help="run the property suites")
     p.add_argument("--suite", default="all", choices=("all",) + SUITES)
-    p.add_argument("--maxN", type=int, default=12)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--maxN", type=_integer, default=12)
+    p.add_argument("--jobs", type=_integer, default=1)
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(fn=cmd_verify, query=False)
+    p.set_defaults(fn=cmd_verify)
 
     return top
 
@@ -378,17 +377,13 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    if not args.query:
+    if hasattr(args, "partition"):
         try:
-            return args.fn(args)
+            _read_class(args)
         except (UpkitError, ValueError) as exc:
-            return _fail(EXIT_DOMAIN, str(exc))
+            return _fail(EXIT_USAGE, str(exc))
     try:
-        q = _build_query(args)
-    except (UpkitError, ValueError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    try:
-        return args.fn(q, args)
+        return args.fn(args)
     except (UpkitError, ValueError) as exc:
         return _fail(EXIT_DOMAIN, str(exc))
 

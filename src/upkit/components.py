@@ -310,7 +310,7 @@ def t_character(cp: ClassPartition, c: int):
     :class:`NotInJ` for c outside J(lam).
     """
     _within_J(cp, {c})
-    neighbours = frozenset(v for v in (c - 1, c + 1) if v >= 1)
+    neighbours = frozenset(_neighbours(c))
 
     def t_c(eps: CharFn) -> int:
         return -1 if len(eps.subset & neighbours) % 2 else 1
@@ -320,10 +320,14 @@ def t_character(cp: ClassPartition, c: int):
 
 # --- raw multiset surgery shared with upkit.pieces ------------------------
 
+def _neighbours(c: int) -> tuple[int, ...]:
+    """The parts c-1 and c+1 a move at c touches; c-1 = 0 is no part."""
+    return tuple(v for v in (c - 1, c + 1) if v >= 1)
+
+
 def _t_down_raw(lam: Partition, J) -> Partition:
-    """lam with, for each c in J, one part c-1 and one part c+1 replaced
-    by (c, c); the phantom part c-1 = 0 is simply absent."""
-    removed = [v for c in J for v in (c - 1, c + 1) if v >= 1]
+    """lam with, for each c in J, the parts _neighbours(c) replaced by (c, c)."""
+    removed = [v for c in J for v in _neighbours(c)]
     added = [v for c in J for v in (c, c)]
     return union(difference(lam, removed), added)
 
@@ -331,7 +335,7 @@ def _t_down_raw(lam: Partition, J) -> Partition:
 def _t_up_raw(lam: Partition, I) -> Partition:
     """Inverse surgery: for each c in I, replace (c, c) by (c-1, c+1)."""
     removed = [v for c in I for v in (c, c)]
-    added = [v for c in I for v in (c - 1, c + 1) if v >= 1]
+    added = [v for c in I for v in _neighbours(c)]
     return union(difference(lam, removed), added)
 
 
@@ -375,7 +379,7 @@ def _iota_step(src: ClassPartition, dst: ClassPartition, c: int, eps: CharFn) ->
     value off any of its members that survived into S(src)."""
     bs = block_structure(dst)
     s_src = set(src.S)
-    merged = [v for v in (c - 1, c + 1) if v >= 1]
+    merged = _neighbours(c)
     survivors = sorted(
         v
         for i, theta in enumerate(bs.classes)

@@ -15,7 +15,7 @@ whose partitions p(m_{lam,J}) sweep out the piece cube of lam.  Their
 L-parameters share the infinitesimal character chi_{z,lam}, and among all
 self-dual parameters with that character they are exactly the ones whose
 SL2-partition has the same dual as lam; :func:`verify_almost_intro`
-checks that equality by brute force.
+checks that equality by brute force for z = 1.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from .components import (
     _check_canonical,
+    _neighbours,
     _subsets_in_order,
     _within_J,
     block_structure,
@@ -190,7 +191,7 @@ def near_tempered_table(cp: ClassPartition, J, z: int = 1) -> ATable:
     Raises :class:`NotInJ` when J is not a subset of J(lam).
     """
     J = _within_J(cp, J)
-    removed = [v for c in J for v in (c - 1, c + 1) if v >= 1]
+    removed = [v for c in J for v in _neighbours(c)]
     rest = difference(cp.lam, removed)
     entries = [(a, 1) for a in rest] + [(c, 2) for c in J]
     return ATable(tuple(entries), cp.gt, z)
@@ -344,17 +345,17 @@ def _sl2_dual(ks: tuple[int, ...], gt: GroupType) -> ClassPartition:
     return bvls_dual(classify(Partition(ks), gt))
 
 
-def verify_almost_intro(cp: ClassPartition, z: int = 1) -> AlmostIntroReport:
-    """Check that the parameters with character chi_{z,lam} and the same
+def verify_almost_intro(cp: ClassPartition) -> AlmostIntroReport:
+    """Check that the parameters with character chi_{1,lam} and the same
     dual as lam are exactly the near-tempered family of the piece cube."""
     expected = frozenset(
-        l_param_of_table(near_tempered_table(cp, J, z))
+        l_param_of_table(near_tempered_table(cp, J))
         for J, _ in special_piece(cp)
     )
     d_lam = bvls_dual(cp)
     found = frozenset(
         phi
-        for phi in enumerate_lparams_with_inf_char(chi_z_lambda(cp, z), cp.gt)
+        for phi in enumerate_lparams_with_inf_char(chi_z_lambda(cp), cp.gt)
         if _sl2_dual(tuple(sorted(k for _, k in phi.summands)), cp.gt) == d_lam
     )
     return AlmostIntroReport(ok=(found == expected), expected=expected, found=found)

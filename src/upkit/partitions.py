@@ -337,7 +337,7 @@ def classify(lam, gt):
     return ClassPartition(lam, gt)
 
 
-def partitions_of(n, max_part=None):
+def partitions_of(n):
     """Yield all partitions of n in reverse-lexicographic order.
 
     Reverse-lex means the all-in-one-part partition (n) comes first and
@@ -346,8 +346,6 @@ def partitions_of(n, max_part=None):
     if n == 0:
         yield Partition()
         return
-    if max_part is None or max_part > n:
-        max_part = n
 
     def rec(remaining, cap, prefix):
         if remaining == 0:
@@ -358,7 +356,7 @@ def partitions_of(n, max_part=None):
             yield from rec(remaining - first, first, prefix)
             prefix.pop()
 
-    for parts in rec(n, max_part, []):
+    for parts in rec(n, n, []):
         yield Partition(parts)
 
 

@@ -12,6 +12,7 @@ import pytest
 import upkit
 import upkit.moeglin
 import upkit.params
+import upkit.pieces
 import upkit.springer
 from upkit import wreps
 from upkit.cli import main
@@ -321,6 +322,53 @@ def test_closed_pipe_exits_quietly(argv, key, value):
         proc.stderr.close()
 
 
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (["classes", "--dual", "C", "--N", "1_0"], None),
+        (["classes", "--dual", "C", "--N", "+4"], None),
+        (["verify", "--suite", "spc", "--maxN", "\u0663"], None),
+        (["verify", "--suite", "spc", "--maxN", "2", "--jobs", "+1"], None),
+        (["weak-packet", "--dual", "B", "--partition", "5,3,1", "--z", "+1"], None),
+        (["verify", "--suite", "spc", "--maxN", "2"], "+1_0"),
+    ],
+    ids=["N-underscore", "N-plus", "maxN-arabic-indic", "jobs-plus", "z-plus", "UPKIT_MAX_N"],
+)
+def test_numeric_options_take_the_integer_rule(capsys, monkeypatch, argv, cap):
+    # int() alone reads each of these as a number
+    if cap is not None:
+        monkeypatch.setenv("UPKIT_MAX_N", cap)
+    code = exit_code(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "is not an integer" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classes", "--dual", "X", "--N", "9"],
+        ["class-info", "--dual", "B"],
+        ["no-such-command"],
+    ],
+    ids=["bad-choice", "missing-partition", "unknown-command"],
+)
+def test_argparse_errors_are_one_line(capsys, argv):
+    code = exit_code(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("upkit: ")
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["classes", "--dual", "X", "--N", "9"])
@@ -447,6 +495,17 @@ def test_verify_records_malformed_run_cover_as_fail(capsys, monkeypatch):
     rows = [json.loads(ln) for ln in lines]
     assert [r["status"] for r in rows] == ["fail", "fail", "fail"]
     assert all("not self-dual" in r["detail"] for r in rows[:-1])
+
+
+def test_verify_spc_counts_distinct_members(capsys, monkeypatch):
+    # every vertex of the piece cube collapsed onto lam: one member, not 2^|J|
+    monkeypatch.setattr(upkit.pieces, "T_down", lambda cp, J: cp)
+    code, lines = run(capsys, "verify", "--suite", "spc", "--maxN", "8")
+    assert code == 4
+    rows = [json.loads(ln) for ln in lines]
+    fails = [r for r in rows[:-1] if r["status"] == "fail"]
+    assert fails and all("special piece is not 2^|J|" in r["detail"] for r in fails)
+    assert rows[-1]["record"] == "summary" and rows[-1]["status"] == "fail"
 
 
 @pytest.mark.parametrize("flag", ["--maxN", "--jobs"])
