@@ -59,8 +59,12 @@ def _emit(obj, pretty: bool) -> None:
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
+# what str.splitlines breaks at, escaped so that every message is one line
+_LINE_BREAKS = {ord(c): ascii(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 def _fail(code: int, message: str) -> int:
-    print(f"upkit: {message}", file=sys.stderr)
+    print(f"upkit: {message.translate(_LINE_BREAKS)}", file=sys.stderr)
     return code
 
 

@@ -58,34 +58,34 @@ def _int_set(text):
     return frozenset(_int_token(tok) for tok in body.split(",") if tok.strip())
 
 
-class Partition:
+class Partition(tuple):
     """An immutable partition: a weakly decreasing tuple of positive integers.
 
     Accepts any iterable of nonnegative integers; zeros are dropped, the
-    rest is sorted.  Supports ``len`` (number of parts), iteration,
-    indexing (0-based), equality and hashing.
+    rest is sorted.  A partition is the tuple of its parts, so it compares
+    and hashes as that tuple.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts=()):
+    def __new__(cls, parts=()):
         cleaned = sorted((int(p) for p in parts), reverse=True)
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
         if cleaned and cleaned[-1] < 0:
             raise ValueError("partition parts must be nonnegative integers")
-        object.__setattr__(self, "parts", tuple(cleaned))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
+        return tuple.__new__(cls, cleaned)
 
     @classmethod
     def _trusted(cls, parts):
-        """Build without validation from a tuple of positive integers that
-        is already weakly decreasing."""
-        lam = object.__new__(cls)
-        object.__setattr__(lam, "parts", parts)
-        return lam
+        """Build without validation from positive integers that are
+        already weakly decreasing."""
+        return tuple.__new__(cls, parts)
+
+    @property
+    def parts(self):
+        """The parts as a plain tuple."""
+        return tuple(self)
 
     @classmethod
     def from_text(cls, text):
@@ -115,31 +115,25 @@ class Partition:
 
     def to_text(self):
         """Inverse of :meth:`from_text`, using exponents for repeats."""
-        if not self.parts:
-            return ""
-        chunks = []
-        for value, grp in itertools.groupby(self.parts):
-            count = len(list(grp))
-            chunks.append(f"{value}^{count}" if count > 1 else str(value))
-        return ",".join(chunks)
+        return ",".join(f"{v}^{m}" if m > 1 else str(v) for v, m in _runs(self))
 
     @property
     def size(self):
         """The sum of the parts, |lam|."""
-        return sum(self.parts)
+        return sum(self)
 
     def mult(self, c):
         """Multiplicity m(c, lam) of the value ``c``."""
-        return self.parts.count(c)
+        return self.count(c)
 
     @property
     def supp(self):
         """Distinct part values, ascending."""
-        return tuple(sorted(set(self.parts)))
+        return tuple(sorted(set(self)))
 
     def interval(self, a, b):
         """The sub-multiset of parts c with a <= c <= b (lam_{a<->b})."""
-        return Partition(p for p in self.parts if a <= p <= b)
+        return Partition(p for p in self if a <= p <= b)
 
     def mf(self):
         """The multiplicity-free part: values of odd multiplicity, once each."""
@@ -147,43 +141,24 @@ class Partition:
 
     def transpose(self):
         """The conjugate partition."""
-        if not self.parts:
+        if not self:
             return Partition()
-        return Partition(
-            sum(1 for p in self.parts if p > i) for i in range(self.parts[0])
-        )
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __bool__(self):
-        return bool(self.parts)
-
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        if isinstance(other, tuple):
-            return self.parts == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
+        return Partition(sum(1 for p in self if p > i) for i in range(self[0]))
 
     def __repr__(self):
-        return f"Partition({list(self.parts)})"
+        return f"Partition({list(self)})"
+
+
+def _runs(lam):
+    """The (value, multiplicity) runs of a partition, values descending."""
+    return [(v, len(list(grp))) for v, grp in itertools.groupby(lam)]
 
 
 def union(*lams):
     """Multiset union (multiplicities add)."""
     merged = []
     for lam in lams:
-        merged.extend(lam.parts if isinstance(lam, Partition) else lam)
+        merged.extend(lam)
     return Partition(merged)
 
 
@@ -194,8 +169,8 @@ def difference(lam, mu):
     ``lam`` with at least its multiplicity, so that
     ``union(difference(lam, mu), mu) == lam`` always holds on success.
     """
-    remaining = list(lam.parts if isinstance(lam, Partition) else lam)
-    for p in mu.parts if isinstance(mu, Partition) else mu:
+    remaining = list(lam)
+    for p in mu:
         try:
             remaining.remove(p)
         except ValueError:
@@ -204,10 +179,12 @@ def difference(lam, mu):
 
 
 def dominates(lam, mu):
-    """True iff |lam| == |mu| and lam >= mu in the dominance order."""
-    a = lam.parts if isinstance(lam, Partition) else tuple(lam)
-    b = mu.parts if isinstance(mu, Partition) else tuple(mu)
-    if sum(a) != sum(b):
+    """True iff |lam| == |mu| and lam >= mu in the dominance order.
+
+    Either argument may be any iterable of parts, in any order.
+    """
+    a, b = Partition(lam), Partition(mu)
+    if a.size != b.size:
         return False
     ta = tb = 0
     for x, y in itertools.zip_longest(a, b, fillvalue=0):
@@ -270,6 +247,9 @@ class GroupType:
     def __hash__(self):
         return hash((self.s, self.N))
 
+    def __reduce__(self):
+        return GroupType, (self.s, self.N)
+
     def __repr__(self):
         return f"GroupType(s={self.s:+d}, N={self.N})"
 
@@ -277,32 +257,31 @@ class GroupType:
 class ClassPartition:
     """A partition together with its group type and derived parity data.
 
-    Construct through :func:`classify`, which validates; the constructor
-    itself trusts its input.  ``lam = gp + bp + bp`` as multisets, with
-    ``gp`` all good-parity parts and ``bp`` half of the bad-parity parts.
+    Built from the (value, multiplicity) runs of ``lam``, values
+    descending, by :func:`classify`, which validates them, or by
+    enumeration; the constructor itself trusts its runs.
+    ``lam = gp + bp + bp`` as multisets, with ``gp`` all good-parity
+    parts and ``bp`` half of the bad-parity parts.
     """
 
     __slots__ = ("lam", "gt", "gp", "bp", "S", "S0")
 
-    def __init__(self, lam, gt):
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "gt", gt)
-        good = Partition(p for p in lam if gt.good_parity(p))
-        bad = [p for p in lam if not gt.good_parity(p)]
-        half = Partition(v for v in sorted(set(bad)) for _ in range(bad.count(v) // 2))
-        object.__setattr__(self, "gp", good)
-        object.__setattr__(self, "bp", half)
-        object.__setattr__(self, "S", good.supp)
-        object.__setattr__(self, "S0", lam.mf().supp)
-
-    @classmethod
-    def _trusted(cls, lam, gt, gp, bp, S, S0):
-        """Build from derived data already known to be what the
-        constructor would compute."""
-        cp = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (lam, gt, gp, bp, S, S0)):
-            object.__setattr__(cp, name, value)
-        return cp
+    def __init__(self, runs, gt):
+        lam, gp, bp, S, S0 = [], [], [], [], []
+        for v, m in runs:
+            lam += [v] * m
+            if gt.good_parity(v):
+                gp += [v] * m
+                S.append(v)
+                if m % 2:
+                    S0.append(v)
+            else:
+                bp += [v] * (m // 2)
+        lam = Partition._trusted(lam)
+        gp = lam if len(gp) == len(lam) else Partition._trusted(gp)
+        fields = (lam, gt, gp, Partition._trusted(bp), tuple(reversed(S)), tuple(reversed(S0)))
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("ClassPartition is immutable")
@@ -315,6 +294,9 @@ class ClassPartition:
     def __hash__(self):
         return hash((self.lam, self.gt))
 
+    def __reduce__(self):
+        return classify, (self.lam, self.gt)
+
     def __repr__(self):
         return f"ClassPartition({self.lam!r}, {self.gt!r})"
 
@@ -323,18 +305,18 @@ def classify(lam, gt):
     """Validate lam as a unipotent class partition for gt.
 
     Raises :class:`WrongTotal` if |lam| != N and :class:`ParityViolation`
-    if a bad-parity value occurs an odd number of times.
+    if a bad-parity value occurs an odd number of times; the smallest
+    such value is named.
     """
     if not isinstance(lam, Partition):
         lam = Partition(lam)
     if lam.size != gt.N:
         raise WrongTotal(f"|{lam!r}| = {lam.size}, expected N = {gt.N}")
-    for v in lam.supp:
-        if not gt.good_parity(v) and lam.mult(v) % 2 == 1:
-            raise ParityViolation(
-                f"bad-parity part {v} has odd multiplicity in {lam!r}"
-            )
-    return ClassPartition(lam, gt)
+    runs = _runs(lam)
+    for v, m in reversed(runs):
+        if m % 2 and not gt.good_parity(v):
+            raise ParityViolation(f"bad-parity part {v} has odd multiplicity in {lam!r}")
+    return ClassPartition(runs, gt)
 
 
 def partitions_of(n):
@@ -370,23 +352,14 @@ def _class_parts(gt, good_only):
     multiplicity from the largest down; a bad-parity value may only take
     an even multiplicity, and is skipped altogether when ``good_only``.
     This is the subsequence of :func:`partitions_of` that :func:`classify`
-    accepts, in the same order, without visiting the rejects.  The
-    derived data of each class (gp, bp, S, S0) is collected from the
-    chosen (value, multiplicity) runs on the way down.
+    accepts, in the same order, without visiting the rejects.  Each class
+    is built from the (value, multiplicity) runs chosen on the way down.
     """
-    lam, gp, bp, S, S0 = [], [], [], [], []
+    runs = []
 
     def rec(remaining, cap):
         if remaining == 0:
-            parts = Partition._trusted(tuple(lam))
-            yield ClassPartition._trusted(
-                parts,
-                gt,
-                parts if len(gp) == len(lam) else Partition._trusted(tuple(gp)),
-                Partition._trusted(tuple(bp)),
-                tuple(reversed(S)),
-                tuple(reversed(S0)),
-            )
+            yield ClassPartition(runs, gt)
             return
         for v in range(min(cap, remaining), 0, -1):
             good = gt.good_parity(v)
@@ -395,23 +368,9 @@ def _class_parts(gt, good_only):
             step = 1 if good else 2
             top = remaining // v
             for m in range(top - top % step, 0, -step):
-                lam.extend([v] * m)
-                if good:
-                    gp.extend([v] * m)
-                    S.append(v)
-                    if m % 2:
-                        S0.append(v)
-                else:
-                    bp.extend([v] * (m // 2))
+                runs.append((v, m))
                 yield from rec(remaining - m * v, v - 1)
-                del lam[-m:]
-                if good:
-                    del gp[-m:]
-                    S.pop()
-                    if m % 2:
-                        S0.pop()
-                else:
-                    del bp[-(m // 2):]
+                runs.pop()
 
     return rec(gt.N, gt.N)
 

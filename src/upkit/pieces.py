@@ -143,7 +143,7 @@ def bvls_dual(cp: ClassPartition) -> ClassPartition:
     lands back on the special closure: d(d(lam)) = T_up(lam, I(lam)).
     """
     if cp.gt.s == 1:
-        trimmed = Partition((cp.lam[0] - 1,) + cp.lam.parts[1:]) if cp.lam else Partition()
+        trimmed = Partition((cp.lam[0] - 1,) + cp.lam[1:]) if cp.lam else Partition()
         target = GroupType(-1, cp.gt.N - 1)
         pre = trimmed.transpose()
     else:

@@ -482,9 +482,7 @@ def weakly_spherical(sd: SpringerIndexData) -> bool:
         found.add((_parts(alpha), _parts(beta)))
 
     _walk_tableaux(sd, gam, *delta_tau(gt), collect)
-    return any(
-        (e.alpha.parts, e.beta.parts) in found for e in e_family(gt.s, gt.n)
-    )
+    return any((e.alpha, e.beta) in found for e in e_family(gt.s, gt.n))
 
 
 def _parts(values) -> tuple[int, ...]:

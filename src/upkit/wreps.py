@@ -121,26 +121,25 @@ def pieri(lam, k: int) -> list:
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    rows = lam.parts
     out = []
 
     def rec(i, left, prefix):
-        if i == len(rows):
+        if i == len(lam):
             if left == 0:
                 out.append(Partition(prefix))
-            elif not rows or left <= rows[-1]:
+            elif not lam or left <= lam[-1]:
                 # at most one fresh row fits; two would share column 0
                 out.append(Partition(prefix + [left]))
             return
-        lo = rows[i]
-        hi = rows[i - 1] if i else rows[0] + left
+        lo = lam[i]
+        hi = lam[i - 1] if i else lam[0] + left
         for v in range(lo, min(hi, lo + left) + 1):
             prefix.append(v)
             rec(i + 1, left - (v - lo), prefix)
             prefix.pop()
 
     rec(0, k, [])
-    return sorted(out, key=lambda p: p.parts, reverse=True)
+    return sorted(out, reverse=True)
 
 
 def lr_mult(mu, nu, lam) -> int:
@@ -161,7 +160,7 @@ def lr_mult(mu, nu, lam) -> int:
     if len(mu) > len(lam) or any(mu[i] > lam[i] for i in range(len(mu))):
         return 0
     padded = tuple(mu[i] if i < len(mu) else 0 for i in range(len(lam)))
-    return _lr_count(lam.parts, padded, nu.parts)
+    return _lr_count(lam, padded, nu)
 
 
 @lru_cache(maxsize=None)
@@ -367,7 +366,7 @@ def _deal(cycles, targets) -> int:
 def _perm_char(mu, rho) -> int:
     """Value at class rho of the permutation character on S_n/S_mu."""
     cycles = tuple((r, rho.mult(r)) for r in rho.supp)
-    return _deal(cycles, mu.parts)
+    return _deal(cycles, mu)
 
 
 def _inner(f, g, rhos) -> Fraction:
@@ -485,14 +484,11 @@ def oracle_mult(x: Bipartition, y: Bipartition) -> dict:
     # group order so that every weight (character times class size) is an
     # integer.  Pieces that fuse to the same W_n class are merged at that
     # class's position in the table's rows, which all list the classes in
-    # one order, so each multiplicity is one integer dot product.  Classes
-    # are keyed by their plain part tuples, which hash at C speed.
-    position = {
-        (rp.parts, rm.parts): p for p, (rp, rm) in enumerate(next(iter(table.values())))
-    }
+    # one order, so each multiplicity is one integer dot product.
+    position = {cls: p for p, cls in enumerate(next(iter(table.values())))}
     order = 2**n * math.factorial(x.n) * math.factorial(y.n)
     weights = [0] * len(position)
-    ys = [(rp.parts, rm.parts, _zwn(rp, rm), v) for (rp, rm), v in chi_y.items() if v]
+    ys = [(rp, rm, _zwn(rp, rm), v) for (rp, rm), v in chi_y.items() if v]
     for (rp1, rm1), v1 in chi_x.items():
         if not v1:
             continue
@@ -502,8 +498,8 @@ def oracle_mult(x: Bipartition, y: Bipartition) -> dict:
             if rem:
                 raise MalformedOutput("centralizer order does not divide the group order")
             fused = (
-                tuple(sorted(rp1.parts + rp2, reverse=True)),
-                tuple(sorted(rm1.parts + rm2, reverse=True)),
+                tuple(sorted(rp1 + rp2, reverse=True)),
+                tuple(sorted(rm1 + rm2, reverse=True)),
             )
             weights[position[fused]] += v1 * v2 * size
     out = {}

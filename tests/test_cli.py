@@ -358,8 +358,10 @@ def test_numeric_options_take_the_integer_rule(capsys, monkeypatch, argv, cap):
         ["classes", "--dual", "X", "--N", "9"],
         ["class-info", "--dual", "B"],
         ["no-such-command"],
+        ["classes", "--dual", "C", "--N", "4", "x\ny"],
+        ["classes", "--dual", "C", "--N", "4", "x\ry"],
     ],
-    ids=["bad-choice", "missing-partition", "unknown-command"],
+    ids=["bad-choice", "missing-partition", "unknown-command", "newline-token", "return-token"],
 )
 def test_argparse_errors_are_one_line(capsys, argv):
     code = exit_code(argv)

@@ -1,7 +1,10 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
+from upkit.components import CharFn
 from upkit.errors import BoundExceeded, NotContained, ParityViolation, WrongTotal
 from upkit.partitions import (
     ClassPartition,
@@ -15,6 +18,7 @@ from upkit.partitions import (
     partitions_of,
     union,
 )
+from upkit.wreps import Bipartition
 
 
 def P(text):
@@ -88,6 +92,9 @@ def test_dominance():
     assert dominates(P("5,3,1"), P("5,3,1"))
     assert not dominates(P("4,4,1"), P("5,3,1"))
     assert not dominates(P("3,3"), P("5,3,1"))  # different sizes
+    # plain sequences are read as partitions, whatever their order
+    assert dominates((1, 3), (2, 2))
+    assert not dominates([2, 2], [1, 3])
     # dominance is a partial order: antisymmetry on a small grid
     for a, b in itertools.permutations(partitions_of(7), 2):
         if dominates(a, b) and dominates(b, a):
@@ -180,6 +187,60 @@ def test_enumerated_classes_match_classify():
         for cp in good_parity_classes(gt):
             assert fields(cp) == fields(classify(Partition(cp.lam.parts), gt)), cp
     assert seen == 21545
+
+
+def test_class_fields_match_their_definition():
+    # the one builder against the definitions, for every class with N <= 24
+    # however it was reached: gp the good parts, bp half of each bad value,
+    # S the sorted good support, S0 the values of odd multiplicity
+    def check(cp):
+        lam, good = cp.lam, cp.gt.good_parity
+        assert cp.gp == tuple(p for p in lam if good(p)), cp
+        assert cp.bp == tuple(
+            v for v in sorted(set(lam), reverse=True) if not good(v)
+            for _ in range(lam.count(v) // 2)
+        ), cp
+        assert cp.S == tuple(sorted({p for p in lam if good(p)})), cp
+        assert cp.S0 == tuple(sorted(v for v in set(lam) if lam.count(v) % 2)), cp
+        assert isinstance(cp.gp, Partition) and isinstance(cp.bp, Partition)
+
+    for N in range(1, 25):
+        gt = GroupType(1 if N % 2 else -1, N)
+        for cp in enumerate_classes(gt):
+            check(cp)
+        for lam in partitions_of(N):
+            try:
+                cp = classify(lam, gt)
+            except ParityViolation:
+                continue
+            check(cp)
+
+
+def test_parity_violation_names_the_smallest_value():
+    # 4 and 2 both occur once; the message names the smaller
+    with pytest.raises(ParityViolation, match=r"bad-parity part 2 "):
+        classify(Partition([4, 2, 1, 1, 1]), GroupType(1, 9))
+
+
+def test_value_types_copy_and_pickle():
+    cp = classify(P("5,3,1"), GroupType(1, 9))
+    values = [
+        P("7^2,5,1"),
+        Partition(),
+        GroupType(-1, 8),
+        cp,
+        classify(P("4,4,3,1,1"), GroupType(1, 13)),
+        CharFn(cp, frozenset({1, 5})),
+        Bipartition((3, 1), (2,)),
+    ]
+    for value in values:
+        for twin in (
+            copy.copy(value),
+            copy.deepcopy(value),
+            pickle.loads(pickle.dumps(value)),
+        ):
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value)
 
 
 def test_enumerate_classes_bound():
