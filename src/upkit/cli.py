@@ -4,8 +4,8 @@ Every record is a single JSON object with sorted keys (``--pretty``
 re-indents for humans).  Exit codes: 0 success, 2 usage/validation,
 3 domain error, 4 verification failure.  A closed stdout (``| head``)
 ends the run with 0 and no traceback; for ``verify`` that is no verdict,
-since only the ``summary`` record gives one.  ``UPKIT_MAX_N`` caps every
-enumeration bound accepted on the command line.
+since only the ``summary`` record gives one.  ``UPKIT_MAX_N`` caps
+``classes --N`` and ``verify --maxN``; no other command reads it.
 """
 
 from __future__ import annotations

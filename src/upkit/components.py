@@ -45,7 +45,6 @@ __all__ = [
     "full_group",
     "canonical_subgroup",
     "t_character",
-    "is_primitive",
     "iota_embed",
     "char_group_order",
 ]
@@ -359,18 +358,6 @@ def _check_canonical(cp: ClassPartition, eps: CharFn) -> None:
     """:class:`NotCanonical` unless eps lies in Pdagger(lam)_0."""
     if eps.base != cp or eps not in canonical_subgroup(cp):
         raise NotCanonical(f"{eps!r} not in the canonical subgroup of {cp.lam!r}")
-
-
-def is_primitive(cp: ClassPartition, eps: CharFn, mu) -> bool:
-    """Whether eps in Pdagger(lam)_0 survives into the packet labelled mu.
-
-    mu must lie in the piece cube {T_J(lam) : J subset of J(lam)}; the
-    test is t_c(eps) != 1 for every c in J(lam) minus J(mu).
-    """
-    mu = _as_class(mu, cp.gt)
-    _check_canonical(cp, eps)
-    J = _piece_move_set(cp, mu)
-    return all(t_character(cp, c)(eps) != 1 for c in J)
 
 
 def _iota_step(src: ClassPartition, dst: ClassPartition, c: int, eps: CharFn) -> CharFn:

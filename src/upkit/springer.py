@@ -45,15 +45,21 @@ prefix of length 2(n + Delta + 1) decides it.  Weak s-sphericity of
 Sigma(O_lam, eps) holds exactly when P(lam, eps, Delta_G, tau_G) meets
 the family E^s_0, ..., E^s_n, at (Delta_G, tau_G) = (n + 1, 1) for
 s = +1 and (n + 1, 2n + 1) for s = -1.
+
+:func:`character_sweep` runs gamma and the tableau walk over every
+character of P(lam)_0 of one class in one pass, from per-class arrays;
+the theoremC and firstrow suites of :mod:`upkit.verify` read it.
+:func:`springer_data`, :func:`gamma_seq` and :func:`green_tableaux`
+serve one character at a time.
 """
 
 from __future__ import annotations
 
 import functools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .components import CharFn, block_structure
+from .components import CharFn, _meets_evenly, _subsets_in_order, block_structure
 from .errors import BadParity, MalformedOutput, NotSpringerType
 from .partitions import ClassPartition, GroupType, Partition, classify
 from .wreps import Bipartition, e_family
@@ -62,6 +68,7 @@ __all__ = [
     "SpringerIndexData",
     "GreenTableau",
     "springer_data",
+    "x_eps",
     "defect",
     "is_springer_type",
     "gamma_seq",
@@ -73,6 +80,7 @@ __all__ = [
     "delta_tau",
     "weakly_spherical",
     "weakly_spherical_general",
+    "character_sweep",
 ]
 
 
@@ -126,17 +134,23 @@ class SpringerIndexData:
 class _ClassIndex:
     """The part of the index data that depends on lam alone.
 
-    ``table`` lists the values of S_max and S_min, descending, each with
+    ``rtable`` lists the values of S_max and S_min, ascending, each with
     its weight [a in S_max] - [a in S_min] (weight-0 values left out);
-    ``cuts[i]`` counts the table values at or above the threshold of
-    D_eps(i): lam_0 := lam_1 + 1 for i = 0, lam_i otherwise.
+    ``low[i]`` counts the table values below the threshold of D_eps(i):
+    lam_0 := lam_1 + 1 for i = 0, lam_i otherwise.  For i = 1..ell,
+    ``gtilde[i-1]`` is gtilde_i and ``shift[i-1]`` the term (-1)^i m that
+    eps(lam_i) = 1 adds to gamma_i.
     """
 
+    base: ClassPartition
     X: tuple[int, ...]
     S_max: frozenset[int]
     S_min: frozenset[int]
-    table: tuple[tuple[int, int], ...]
-    cuts: tuple[int, ...]
+    S0: frozenset[int]
+    rtable: tuple[tuple[int, int], ...]
+    low: tuple[int, ...]
+    gtilde: tuple[int, ...]
+    shift: tuple[int, ...]
 
 
 @functools.lru_cache(maxsize=64)
@@ -148,6 +162,7 @@ def _class_index(cp: ClassPartition) -> _ClassIndex:
     for i, p in enumerate(lam, 1):
         first.setdefault(p, i)
     bs = block_structure(cp)
+    s0 = frozenset(cp.S0)
     smax = {theta[-1] for theta in bs.classes}
     smin = {theta[0] for theta in bs.classes}
     if lam:
@@ -155,22 +170,49 @@ def _class_index(cp: ClassPartition) -> _ClassIndex:
             smax.discard(lam[0])
         else:
             bottom = bs.classes[0]
-            if bottom[-1] == lam[len(lam) - 1] and bottom[-1] in set(cp.S0):
+            if bottom[-1] == lam[len(lam) - 1] and bottom[-1] in s0:
                 smin.discard(bottom[-1])
     weight = {a: (a in smax) - (a in smin) for a in smax | smin}
-    values = [a for a in sorted(weight, reverse=True) if weight[a]]
-    cuts = []
-    j = 0
-    for hi in ((lam[0] + 1 if lam else 1), *lam):
-        while j < len(values) and values[j] >= hi:
-            j += 1
-        cuts.append(j)
+    values = [a for a in sorted(weight) if weight[a]]
+    m_off, m_on = (-2, 0) if cp.gt.s == 1 else (1, -1)
     return _ClassIndex(
+        base=cp,
         X=tuple(sorted(first.values())),
         S_max=frozenset(smax),
         S_min=frozenset(smin),
-        table=tuple((a, weight[a]) for a in values),
-        cuts=tuple(cuts),
+        S0=s0,
+        rtable=tuple((a, weight[a]) for a in values),
+        low=tuple(
+            bisect_left(values, hi) for hi in ((lam[0] + 1 if lam else 1), *lam)
+        ),
+        gtilde=tuple(a // 2 if i % 2 else (a + 1) // 2 for i, a in enumerate(lam, 1)),
+        shift=tuple(
+            (m_on if a in smin else m_off) * (-1) ** i for i, a in enumerate(lam, 1)
+        ),
+    )
+
+
+def _signs(lam: Partition, sub) -> tuple[list[int], list[int], list[int]]:
+    """(epsbar(1..ell), e_plus, e_minus) of the character with subset sub."""
+    ebar, e_plus, e_minus = [], [], []
+    for i, p in enumerate(lam, 1):
+        if ((p in sub) + i) % 2:
+            ebar.append(1)
+            e_plus.append(i)
+        else:
+            ebar.append(-1)
+            e_minus.append(i)
+    return ebar, e_plus, e_minus
+
+
+def x_eps(cp: ClassPartition, sub) -> tuple[int, ...]:
+    """X_eps of the character with subset sub: the indices i in X where
+    eps(lam_i) != eps(lam_{i-1})."""
+    lam = cp.lam
+    return tuple(
+        i
+        for i in _class_index(cp).X
+        if (lam[i - 1] in sub) != (i > 1 and lam[i - 2] in sub)
     )
 
 
@@ -183,16 +225,7 @@ def springer_data(cp: ClassPartition, eps: CharFn) -> SpringerIndexData:
             f"{cp.lam!r} has bad-parity parts; reduce to lam^gp first"
         )
     ci = _class_index(cp)
-    lam = cp.lam
-    sub = eps.subset
-    ebar, e_plus, e_minus = [], [], []
-    for i, p in enumerate(lam, 1):
-        if ((p in sub) + i) % 2:
-            ebar.append(1)
-            e_plus.append(i)
-        else:
-            ebar.append(-1)
-            e_minus.append(i)
+    ebar, e_plus, e_minus = _signs(cp.lam, eps.subset)
     return SpringerIndexData(
         base=cp,
         eps=eps,
@@ -200,11 +233,7 @@ def springer_data(cp: ClassPartition, eps: CharFn) -> SpringerIndexData:
         e_plus=tuple(e_plus),
         e_minus=tuple(e_minus),
         X=ci.X,
-        X_eps=tuple(
-            i
-            for i in ci.X
-            if (lam[i - 1] in sub) != (i > 1 and lam[i - 2] in sub)
-        ),
+        X_eps=x_eps(cp, eps.subset),
         S_max=ci.S_max,
         S_min=ci.S_min,
     )
@@ -221,19 +250,19 @@ def defect(sd: SpringerIndexData, i: int) -> int:
     )
 
 
-def _defects(sd: SpringerIndexData) -> tuple[int, ...]:
-    """(D_eps(0), ..., D_eps(ell)), equal to :func:`defect` at every index.
+def _defects(ci: _ClassIndex, sub) -> list[int]:
+    """[D_eps(0), ..., D_eps(ell)], equal to :func:`defect` at every index.
 
-    Read off the class's descending value table: D_eps(i) sums the
-    weights of the eps-values below the i-th cut.
+    Read off the class's ascending value table: D_eps(i) sums the
+    weights of the eps-values among the first ``low[i]`` entries.
     """
-    ci = _class_index(sd.base)
-    sub = sd.eps.subset
     below = [0]
-    for a, w in reversed(ci.table):
-        below.append(below[-1] + w if a in sub else below[-1])
-    top = len(ci.table)
-    return tuple(below[top - c] for c in ci.cuts)
+    acc = 0
+    for a, w in ci.rtable:
+        if a in sub:
+            acc += w
+        below.append(acc)
+    return [below[k] for k in ci.low]
 
 
 def is_springer_type(sd: SpringerIndexData) -> bool:
@@ -241,79 +270,90 @@ def is_springer_type(sd: SpringerIndexData) -> bool:
     return defect(sd, 0) == 0
 
 
-def _zero_gate(sd: SpringerIndexData, i: int, a: int, d: int) -> None:
+def _zero_gate(ci: _ClassIndex, sub, i: int, a: int, d: int) -> None:
     # self-check on gamma_i = 0 with |D_eps(i)| <= 1; any violation is a bug
-    ind = sd.eps.indicator
-    s0 = set(sd.base.S0)
+    s0 = ci.S0
     odd = i % 2 == 1
     ok = a <= 7
-    if a == 2 and 2 not in sd.S_min:
+    if a == 2 and 2 not in ci.S_min:
         ok = odd
     elif a == 3:
         ok = not odd
     elif a == 4:
-        ok = (d == 1 and ind(4) == 0) or (4 not in sd.S_min and odd)
+        ok = (d == 1 and 4 not in sub) or (4 not in ci.S_min and odd)
     elif a == 5:
-        ok = (d == 1 and ind(5) == 0) or (
-            {1, 3} <= s0 and ind(1) == 1 and ind(3) == 0 and ind(5) == 1
+        ok = (d == 1 and 5 not in sub) or (
+            {1, 3} <= s0 and 1 in sub and 3 not in sub and 5 in sub
         )
     elif a == 6:
         ok = (d == 1 and odd) or (
             {2, 4} <= s0
-            and 6 in sd.S_min
-            and ind(2) == 1
-            and ind(4) == 0
-            and ind(6) == 1
+            and 6 in ci.S_min
+            and 2 in sub
+            and 4 not in sub
+            and 6 in sub
         )
     elif a == 7:
-        ok = d == 1 and 7 not in sd.S_min
+        ok = d == 1 and 7 not in ci.S_min
     if not ok:
         raise MalformedOutput(
             f"zero gamma_{i} violates the zero-part constraints "
-            f"(lam_i = {a}, D = {d}) for {sd.eps!r}"
+            f"(lam_i = {a}, D = {d}) for {CharFn(ci.base, sub)!r}"
         )
+
+
+def _gamma_core(ci: _ClassIndex, sub):
+    """(epsbar, e_plus, e_minus, gamma) of the character of P(lam)_0 with
+    subset sub, or None when it is not of Springer type (D_eps(0) != 0).
+
+    Raises MalformedOutput when gamma fails nonnegativity, fails weak
+    decrease along either sign class, or carries a zero entry violating
+    the zero-part constraints -- all of which indicate a bug, never bad
+    input.
+    """
+    cp = ci.base
+    defects = _defects(ci, sub)
+    if defects[0]:
+        return None
+    ebar, e_plus, e_minus = _signs(cp.lam, sub)
+    s2 = 2 * cp.gt.s
+    out = []
+    for i, (a, e, d, g, m) in enumerate(
+        zip(cp.lam, ebar, defects[1:], ci.gtilde, ci.shift), 1
+    ):
+        g -= s2 * e * d
+        if a in sub:
+            g += m
+        if g < 0:
+            raise MalformedOutput(f"gamma_{i} = {g} < 0 for {CharFn(cp, sub)!r}")
+        if g == 0 and -1 <= d <= 1:
+            _zero_gate(ci, sub, i, a, d)
+        out.append(g)
+    for idx in (e_plus, e_minus):
+        run = [out[i - 1] for i in idx]
+        if run != sorted(run, reverse=True):
+            raise MalformedOutput(
+                f"gamma not weakly decreasing along {tuple(idx)} for {CharFn(cp, sub)!r}"
+            )
+    return ebar, e_plus, e_minus, tuple(out)
 
 
 def gamma_seq(sd: SpringerIndexData) -> tuple[int, ...]:
     """The gamma-sequence of (lam, eps), zero entries retained.
 
-    Raises NotSpringerType unless D_eps(0) = 0, and MalformedOutput when
-    the output fails nonnegativity, fails weak decrease along either
-    sign class, or carries a zero entry violating the zero-part
-    constraints -- all of which indicate a bug, never bad input.
+    Raises NotSpringerType unless D_eps(0) = 0, ValueError outside
+    P(lam)_0, and MalformedOutput when the output fails one of the
+    self-checks of :func:`_gamma_core`.
     """
-    defects = _defects(sd)
-    if defects[0]:
-        raise NotSpringerType(
-            f"D_eps(0) = {defects[0]} != 0 for {sd.eps!r}"
-        )
-    if not sd.eps.in_P0:
+    core = _gamma_core(_class_index(sd.base), sd.eps.subset) if sd.eps.in_P0 else None
+    if core is None:
+        d0 = defect(sd, 0)
+        if d0:
+            raise NotSpringerType(f"D_eps(0) = {d0} != 0 for {sd.eps!r}")
         raise ValueError(
             f"{sd.eps!r} lies outside P(lam)_0; gamma is derived there"
         )
-    s = sd.s
-    m_off, m_on = (-2, 0) if s == 1 else (1, -1)
-    sub = sd.eps.subset
-    smin = sd.S_min
-    out = []
-    for i, (a, e, d) in enumerate(zip(sd.lam, sd.epsbar, defects[1:]), 1):
-        gtilde = a // 2 if i % 2 else (a + 1) // 2
-        g = gtilde - 2 * s * e * d
-        if a in sub:
-            m = m_on if a in smin else m_off
-            g += -m if i % 2 else m
-        if g < 0:
-            raise MalformedOutput(f"gamma_{i} = {g} < 0 for {sd.eps!r}")
-        if g == 0 and d in (-1, 0, 1):
-            _zero_gate(sd, i, a, d)
-        out.append(g)
-    for idx in (sd.e_plus, sd.e_minus):
-        run = [out[i - 1] for i in idx]
-        if any(x < y for x, y in zip(run, run[1:])):
-            raise MalformedOutput(
-                f"gamma not weakly decreasing along {idx} for {sd.eps!r}"
-            )
-    return tuple(out)
+    return core[3]
 
 
 def springer_bipartition(sd: SpringerIndexData) -> Bipartition:
@@ -349,7 +389,7 @@ class GreenTableau:
         }
 
 
-def _walk_tableaux(sd, gam, delta, tau, leaf) -> None:
+def _walk_tableaux(ebar, e_plus, e_minus, gam, delta, tau, leaf) -> None:
     """Walk R(lam, eps, delta, tau) depth-first, +1 branch first.
 
     ``leaf(rows, alpha, beta)`` sees every finished tableau: its rows and
@@ -357,7 +397,6 @@ def _walk_tableaux(sd, gam, delta, tau, leaf) -> None:
     side.  The lists are the walker's own and change after ``leaf``
     returns.
     """
-    ebar = sd.epsbar
     rows: list[list[int]] = []
     alpha: list[int] = []
     beta: list[int] = []
@@ -366,14 +405,17 @@ def _walk_tableaux(sd, gam, delta, tau, leaf) -> None:
         if not pool_p and not pool_m:
             leaf(rows, alpha, beta)
             return
+        need = delta - start_sum
         starts = []
-        for u, mine, other in ((1, pool_p, pool_m), (-1, pool_m, pool_p)):
-            if mine and (not other or gam[mine[0] - 1] >= -u * (delta - start_sum)):
-                starts.append(u)
+        if pool_p and (not pool_m or gam[pool_p[0] - 1] >= -need):
+            starts.append(1)
+        if pool_m and (not pool_p or gam[pool_m[0] - 1] >= need):
+            starts.append(-1)
         if not starts:
             raise MalformedOutput("no admissible row start")
         for u in starts:
-            pp, pm = pool_p[:], pool_m[:]
+            # the last branch may use up this call's own pools
+            pp, pm = (pool_p, pool_m) if u == starts[-1] else (pool_p[:], pool_m[:])
             k = (pp if u == 1 else pm).pop(0)
             row = [k]
             total = gam[k - 1]
@@ -392,7 +434,7 @@ def _walk_tableaux(sd, gam, delta, tau, leaf) -> None:
             rows.pop()
             side.pop()
 
-    expand(list(sd.e_plus), list(sd.e_minus), 0)
+    expand(list(e_plus), list(e_minus), 0)
 
 
 def green_tableaux(
@@ -413,7 +455,7 @@ def green_tableaux(
             )
         )
 
-    _walk_tableaux(sd, gamma_seq(sd), delta, tau, close)
+    _walk_tableaux(sd.epsbar, sd.e_plus, sd.e_minus, gamma_seq(sd), delta, tau, close)
     return out
 
 
@@ -476,18 +518,63 @@ def weakly_spherical(sd: SpringerIndexData) -> bool:
         gam = gamma_seq(sd)
     except NotSpringerType:
         return False
-    found = set()
-
-    def collect(rows, alpha, beta):
-        found.add((_parts(alpha), _parts(beta)))
-
-    _walk_tableaux(sd, gam, *delta_tau(gt), collect)
-    return any((e.alpha, e.beta) in found for e in e_family(gt.s, gt.n))
+    _, pairs = _tableau_summary(sd.epsbar, sd.e_plus, sd.e_minus, gam, *delta_tau(gt))
+    return not _e_pairs(gt).isdisjoint(pairs)
 
 
 def _parts(values) -> tuple[int, ...]:
     """The parts tuple of Partition(values): zeros dropped, descending."""
-    return tuple(sorted((x for x in values if x), reverse=True))
+    return tuple(sorted(filter(None, values), reverse=True))
+
+
+def _tableau_summary(ebar, e_plus, e_minus, gam, delta, tau):
+    """The set of first rows of R(lam, eps, delta, tau) and the distinct
+    (alpha, beta) parts pairs of P(lam, eps, delta, tau), in walk order."""
+    first_rows = set()
+    pairs = {}
+
+    def leaf(rows, alpha, beta):
+        # the one tableau of the empty partition has no rows
+        first_rows.add(tuple(rows[0]) if rows else ())
+        pairs[_parts(alpha), _parts(beta)] = None
+
+    _walk_tableaux(ebar, e_plus, e_minus, gam, delta, tau, leaf)
+    return first_rows, tuple(pairs)
+
+
+def _e_pairs(gt: GroupType) -> frozenset:
+    """The family E^s_0, ..., E^s_n of gt as (alpha, beta) parts pairs."""
+    return frozenset((e.alpha, e.beta) for e in e_family(gt.s, gt.n))
+
+
+def character_sweep(cp: ClassPartition):
+    """Every character of P(lam)_0 with its tableaux at (Delta_G, tau_G).
+
+    One pass over the class, in :func:`char_group` order, building no
+    :class:`CharFn` and no :class:`SpringerIndexData`.  Yields
+    ``(sub, first_rows, pairs, spherical)`` per subset sub of S(lam)
+    meeting S_0(lam) evenly.  Off Springer type ``first_rows`` and
+    ``pairs`` are None and ``spherical`` is False.  Otherwise
+    ``first_rows`` is the set of first rows of R(lam, eps, Delta_G,
+    tau_G), ``pairs`` the distinct (alpha, beta) parts pairs of
+    P(lam, eps, Delta_G, tau_G) in walk order, and ``spherical`` tells
+    whether they meet the E^s family, as :func:`weakly_spherical` does.
+    Every gamma runs the self-checks of :func:`gamma_seq`.
+    """
+    if cp.bp:
+        raise BadParity(f"{cp.lam!r} is not of pure good parity")
+    ci = _class_index(cp)
+    delta, tau = delta_tau(cp.gt)
+    family = _e_pairs(cp.gt)
+    for sub in _subsets_in_order(cp.S):
+        if not _meets_evenly(sub, cp.S0):
+            continue
+        core = _gamma_core(ci, sub)
+        if core is None:
+            yield sub, None, None, False
+            continue
+        first_rows, pairs = _tableau_summary(*core, delta, tau)
+        yield sub, first_rows, pairs, not family.isdisjoint(pairs)
 
 
 def weakly_spherical_general(cp: ClassPartition, eps: CharFn) -> bool:

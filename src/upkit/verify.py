@@ -14,7 +14,7 @@ LR against the W_n oracle) stay in separate modules that share no code.
 
 from __future__ import annotations
 
-from .components import _subsets_in_order, block_structure, canonical_subgroup, char_group
+from .components import CharFn, _subsets_in_order, block_structure, canonical_subgroup
 from .moeglin import arthur_character, merge_chain, tempered_intersection
 from .params import ENUM_BOUND, verify_almost_intro
 from .partitions import (
@@ -24,15 +24,8 @@ from .partitions import (
     good_parity_classes,
 )
 from .pieces import bvls_dual, is_special, piece_data, special_closure, special_piece
-from .springer import (
-    delta_tau,
-    green_tableaux,
-    is_springer_type,
-    leq_dominance,
-    springer_data,
-    weakly_spherical,
-)
-from .wreps import bipartitions_of, e_rep, induce_table, invariant_dim, oracle_mult
+from .springer import character_sweep, delta_tau, leq_dominance, x_eps
+from .wreps import Bipartition, bipartitions_of, e_rep, induce_table, invariant_dim, oracle_mult
 
 
 class VerificationFailed(AssertionError):
@@ -140,23 +133,23 @@ def check_firstrow(gt: GroupType) -> int:
     checked = 0
     dt = delta_tau(gt)
     for cp in good_parity_classes(gt):
-        for eps in char_group(cp):
-            sd = springer_data(cp, eps)
-            if not is_springer_type(sd):
+        indices = range(1, len(cp.lam) + 1)
+        for sub, first_rows, pairs, _ in character_sweep(cp):
+            if first_rows is None:
                 continue
-            tabs = green_tableaux(sd, *dt)
-            for t in tabs:
-                rest = tuple(sorted(set(range(1, sd.ell + 1)) - set(t.rows[0])))
-                if rest != sd.X_eps:
-                    raise VerificationFailed(
-                        f"{_at(cp, eps)}: first row is not the complement of X_eps"
-                    )
-            ps = {t.bipartition for t in tabs}
+            xe = x_eps(cp, sub)
+            row = tuple(i for i in indices if i not in xe)
+            if any(r != row for r in first_rows):
+                raise VerificationFailed(
+                    f"{_at(cp, CharFn(cp, sub))}: first row is not the complement of X_eps"
+                )
+            # a single pair has nothing to be compared with
+            ps = {Bipartition(a, b) for a, b in pairs} if len(pairs) > 1 else ()
             for x in ps:
                 for y in ps:
                     if x != y and leq_dominance(x, y, *dt):
                         raise VerificationFailed(
-                            f"{_at(cp, eps)}: {x.to_text()} <= {y.to_text()} in dominance"
+                            f"{_at(cp, CharFn(cp, sub))}: {x.to_text()} <= {y.to_text()} in dominance"
                         )
             checked += 1
     return checked
@@ -172,11 +165,11 @@ def check_theoremC(gt: GroupType) -> int:
     """
     checked = 0
     for cp in good_parity_classes(gt):
-        adag = set(canonical_subgroup(cp))
-        for eps in char_group(cp):
-            if weakly_spherical(springer_data(cp, eps)) != (eps in adag):
+        adag = {e.subset for e in canonical_subgroup(cp)}
+        for sub, _, _, spherical in character_sweep(cp):
+            if spherical != (sub in adag):
                 raise VerificationFailed(
-                    f"{_at(cp, eps)}: weak sphericity disagrees with the canonical subgroup"
+                    f"{_at(cp, CharFn(cp, sub))}: weak sphericity disagrees with the canonical subgroup"
                 )
             checked += 1
     return checked

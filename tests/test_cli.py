@@ -14,11 +14,11 @@ import upkit.moeglin
 import upkit.params
 import upkit.pieces
 import upkit.springer
-from upkit import wreps
-from upkit.cli import main
+from upkit import verify, wreps
+from upkit.cli import _verify_cell, main
 from upkit.errors import MalformedOutput
 from upkit.params import tempered_table
-from upkit.partitions import Partition
+from upkit.partitions import GroupType, Partition
 
 
 def run(capsys, *argv):
@@ -452,7 +452,7 @@ def test_verify_records_broken_merge_route_as_fail(capsys, monkeypatch):
 def test_verify_records_broken_zero_gate_as_fail(capsys, monkeypatch):
     # theoremC reaches gamma's zero-part gate in every cell through N = 8
     # but C2, whose one class (2) has gamma = (1)
-    def tripped(sd, i, a, d):
+    def tripped(ci, sub, i, a, d):
         raise MalformedOutput(f"zero gamma_{i} refused")
 
     monkeypatch.setattr(upkit.springer, "_zero_gate", tripped)
@@ -463,6 +463,46 @@ def test_verify_records_broken_zero_gate_as_fail(capsys, monkeypatch):
     assert [r["N"] for r in fails] == [1, 3, 4, 5, 6, 7, 8]
     assert all("refused" in r["detail"] for r in fails)
     assert rows[-1]["record"] == "summary" and rows[-1]["status"] == "fail"
+
+
+def test_theoremC_names_a_dropped_canonical_member(monkeypatch):
+    # a canonical subgroup of B 5,3,1 missing (--+) fails at that character
+    real = verify.canonical_subgroup
+
+    def short(cp):
+        members = real(cp)
+        if cp.lam == (5, 3, 1):
+            members = tuple(e for e in members if e.to_text() != "(--+)")
+        return members
+
+    monkeypatch.setattr(verify, "canonical_subgroup", short)
+    with pytest.raises(verify.VerificationFailed) as exc:
+        verify.check_theoremC(GroupType(1, 9))
+    assert str(exc.value) == (
+        "B 5,3,1 eps=(--+): weak sphericity disagrees with the canonical subgroup"
+    )
+
+
+@pytest.mark.parametrize("suite", ["theoremC", "firstrow"])
+def test_verify_cell_fails_on_one_zero_gate_in_the_sweep(monkeypatch, suite):
+    # gamma of B 5,3,1 at eps = {1,3} is (2,2,0); only that zero is refused
+    real = upkit.springer._zero_gate
+
+    def tripped(ci, sub, i, a, d):
+        if ci.base.lam == (5, 3, 1) and sub == {1, 3}:
+            raise MalformedOutput(f"zero gamma_{i} refused")
+        real(ci, sub, i, a, d)
+
+    monkeypatch.setattr(upkit.springer, "_zero_gate", tripped)
+    assert _verify_cell((suite, 1, 9)) == {
+        "N": 9,
+        "checked": 0,
+        "detail": "zero gamma_3 refused",
+        "dual": "B",
+        "record": "check",
+        "status": "fail",
+        "suite": suite,
+    }
 
 
 def test_verify_records_broken_oracle_as_fail(capsys, monkeypatch):

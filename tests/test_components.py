@@ -10,7 +10,6 @@ from upkit.components import (
     char_group_order,
     full_group,
     iota_embed,
-    is_primitive,
     t_character,
 )
 from upkit.errors import NotCanonical, NotInJ, NotInPiece
@@ -312,19 +311,6 @@ def test_t_character_c_equals_1():
     t1 = t_character(cp, 1)
     assert t1(CharFn(cp, frozenset({2}))) == -1
     assert t1(CharFn(cp, frozenset())) == 1
-
-
-def test_is_primitive_fixture():
-    cp = B("5,3,1")
-    eps = CharFn(cp, frozenset({1, 3}))
-    mu = B("4,4,1")
-    assert is_primitive(cp, eps, mu) is True
-    assert is_primitive(cp, CharFn(cp, frozenset()), mu) is False
-    assert is_primitive(cp, eps, cp) is True  # J empty: vacuous
-    with pytest.raises(NotCanonical):
-        is_primitive(cp, CharFn(cp, frozenset({1, 5})), mu)
-    with pytest.raises(NotInPiece):
-        is_primitive(cp, eps, B("3,3,3"))
 
 
 # ------------------------------------------------------------- iota embed

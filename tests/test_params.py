@@ -154,6 +154,19 @@ def test_membership_fixture():
         packets_containing(cp, CharFn(cp, frozenset({1, 5})))
 
 
+def test_packets_containing_primitive_fixture():
+    # eps survives into the packet of mu = T_J(lam) exactly when J is
+    # listed: t_c(eps) != 1 for every c in J
+    cp = B("5,3,1")
+    eps = CharFn(cp, frozenset({1, 3}))
+    hits = dict(packets_containing(cp, eps))
+    assert hits[frozenset({4})].p() == (4, 4, 1)  # mu = 4,4,1
+    assert frozenset() in hits  # mu = lam: J empty, vacuous
+    assert frozenset({4}) not in dict(packets_containing(cp, CharFn(cp, frozenset())))
+    with pytest.raises(NotCanonical):
+        packets_containing(cp, CharFn(cp, frozenset({1, 5})))
+
+
 def test_membership_fibers_are_uniform():
     # the move characters t_c cut the canonical subgroup in independent
     # halves, so each J-packet picks up |A+| / 2^|J| canonical members

@@ -12,8 +12,11 @@ from upkit.partitions import GroupType, Partition, classify, enumerate_classes
 from upkit.springer import (
     GreenTableau,
     SpringerIndexData,
+    _class_index,
     _defects,
+    _gamma_core,
     _zero_gate,
+    character_sweep,
     defect,
     delta_tau,
     gamma_seq,
@@ -26,6 +29,7 @@ from upkit.springer import (
     springer_data,
     weakly_spherical,
     weakly_spherical_general,
+    x_eps,
 )
 from upkit.wreps import Bipartition, e_family
 
@@ -185,7 +189,7 @@ def _ref_gamma_seq(d):
         if g < 0:
             raise MalformedOutput("negative gamma")
         if g == 0 and defects[i] in (-1, 0, 1):
-            _zero_gate(d, i, a, defects[i])
+            _zero_gate(_class_index(d.base), d.eps.subset, i, a, defects[i])
         out.append(g)
     for idx in (d.e_plus, d.e_minus):
         run = [out[i - 1] for i in idx]
@@ -272,6 +276,37 @@ def test_fast_path_matches_per_character_reference():
             ), (cp, eps)
 
 
+def test_sweep_matches_per_character_path():
+    for cp in pure_classes(24):
+        dt = delta_tau(cp.gt)
+        ci = _class_index(cp)
+        chars = char_group(cp)
+        swept = list(character_sweep(cp))
+        assert [sub for sub, *_ in swept] == [eps.subset for eps in chars], cp
+        for eps, (sub, first_rows, pairs, spherical) in zip(chars, swept):
+            d = springer_data(cp, eps)
+            core = _gamma_core(ci, sub)
+            if _outcome(gamma_seq, d) is NotSpringerType:
+                assert core is None, (cp, eps)
+                assert (first_rows, pairs, spherical) == (None, None, False), (cp, eps)
+                continue
+            ebar, e_plus, e_minus, gam = core
+            assert (tuple(ebar), tuple(e_plus), tuple(e_minus)) == (
+                d.epsbar,
+                d.e_plus,
+                d.e_minus,
+            ), (cp, eps)
+            assert gam == gamma_seq(d), (cp, eps)
+            assert x_eps(cp, sub) == d.X_eps, (cp, eps)
+            tabs = green_tableaux(d, *dt)
+            assert first_rows == {t.rows[0] for t in tabs}, (cp, eps)
+            assert len(set(pairs)) == len(pairs)
+            assert set(pairs) == {(t.alpha, t.beta) for t in tabs}, (cp, eps)
+            assert spherical == weakly_spherical(d), (cp, eps)
+    with pytest.raises(BadParity):
+        next(character_sweep(B("3,2,2")))
+
+
 # ----------------------------------------------------------------- defect
 
 def test_defect_examples():
@@ -287,7 +322,8 @@ def test_defects_match_defect():
     for cp in pure_classes(20):
         for eps in full_group(cp):
             d = springer_data(cp, eps)
-            assert _defects(d) == tuple(defect(d, i) for i in range(d.ell + 1))
+            want = [defect(d, i) for i in range(d.ell + 1)]
+            assert _defects(_class_index(cp), eps.subset) == want
 
 
 def test_defect_index_range():
