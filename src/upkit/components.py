@@ -40,9 +40,11 @@ from .partitions import ClassPartition, Partition, _int_set, classify, differenc
 __all__ = [
     "CharFn",
     "BlockStructure",
+    "block_classes",
     "block_structure",
     "char_group",
     "full_group",
+    "canonical_subsets",
     "canonical_subgroup",
     "t_character",
     "iota_embed",
@@ -155,58 +157,68 @@ class BlockStructure:
         return Partition(v for v in out.supp for _ in range(out.mult(v) // 2))
 
 
-def _spans(cp: ClassPartition) -> list[tuple[int, int, str]]:
-    """Index spans (p, q, kind) of the classes inside ascending S(lam)."""
+# The bound on every class-keyed cache.  It holds every class of the runs
+# that revisit classes: `verify --suite all --maxN 16` builds 455 block
+# structures, the 1,200 single-class queries of the `queries` benchmark
+# (seed 7) 467.  The theoremC and firstrow sweeps, which visit each class
+# once, read none of these caches.
+CLASS_CACHE_SIZE = 1024
+
+
+def _spans(cp: ClassPartition) -> list[tuple[int, int]]:
+    """Index spans (p, q) of the classes inside ascending S(lam)."""
     S = cp.S
     k = len(S)
     s0 = set(cp.S0)
     pos0 = [i for i, v in enumerate(S) if v in s0]
     r = len(pos0)
-    spans: list[tuple[int, int, str]] = []
+    spans: list[tuple[int, int]] = []
     if cp.gt.s == 1:
         # |lam| odd forces r odd (and >= 1 when lam is nonempty).
-        for i in range(0, r - 1, 2):
-            spans.append((pos0[i], pos0[i + 1], "pair"))
+        spans += ((pos0[i], pos0[i + 1]) for i in range(0, r - 1, 2))
         if r:
-            spans.append((pos0[r - 1], k - 1, "tail"))
+            spans.append((pos0[r - 1], k - 1))
     else:
-        if r % 2 == 0:
-            for i in range(0, r, 2):
-                spans.append((pos0[i], pos0[i + 1], "pair"))
-        else:
-            spans.append((0, pos0[0], "ground"))
-            for i in range(1, r - 1, 2):
-                spans.append((pos0[i], pos0[i + 1], "pair"))
+        first = r % 2
+        if first:
+            spans.append((0, pos0[0]))
+        spans += ((pos0[i], pos0[i + 1]) for i in range(first, r - 1, 2))
     covered = set()
-    for p, q, _ in spans:
+    for p, q in spans:
         covered.update(range(p, q + 1))
-    spans.extend((i, i, "single") for i in range(k) if i not in covered)
+    spans.extend((i, i) for i in range(k) if i not in covered)
     spans.sort()
     return spans
 
 
-@functools.lru_cache(maxsize=None)
+def block_classes(cp: ClassPartition) -> tuple[tuple[int, ...], ...]:
+    """The canonical classes of S(lam), ascending, without the rest of
+    :class:`BlockStructure`; not cached.
+
+    A pair class meets S_0(lam) in two values, the tail (s = +1) or
+    ground (s = -1) class in one, a singleton in none.
+    """
+    S = cp.S
+    return tuple(S[p : q + 1] for p, q in _spans(cp))
+
+
+@functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
 def block_structure(cp: ClassPartition) -> BlockStructure:
     """Compute the canonical classes, blocks, I(lam) and J(lam)."""
-    S = cp.S
     lam = cp.lam
-    spans = _spans(cp)
-    classes = tuple(tuple(S[p : q + 1]) for p, q, _ in spans)
-    kinds = tuple(kind for _, _, kind in spans)
-    ranges = []
-    for (p, q, kind) in spans:
-        lo, hi = S[p], S[q]
-        if kind == "ground":
-            lo = 1
-        elif kind == "tail":
-            hi = lam[0]
-        ranges.append((lo, hi))
+    s0 = set(cp.S0)
+    classes = block_classes(cp)
+    odd = "tail" if cp.gt.s == 1 else "ground"
+    kinds = tuple(("single", odd, "pair")[len(s0.intersection(theta))] for theta in classes)
+    ranges = tuple(
+        (1 if kind == "ground" else theta[0], lam[0] if kind == "tail" else theta[-1])
+        for theta, kind in zip(classes, kinds)
+    )
     blocks = tuple(lam.interval(lo, hi) for lo, hi in ranges)
 
     bad = lambda v: not cp.gt.good_parity(v)  # noqa: E731
     I_set = frozenset(v for blk in blocks for v in blk.supp if bad(v))
 
-    s0 = set(cp.S0)
     admissible = []
     for i, theta in enumerate(classes):
         tmin, tmax = theta[0], theta[-1]
@@ -224,19 +236,12 @@ def block_structure(cp: ClassPartition) -> BlockStructure:
         cp=cp,
         classes=classes,
         kinds=kinds,
-        ranges=tuple(ranges),
+        ranges=ranges,
         blocks=blocks,
         admissible=tuple(admissible),
         I_set=I_set,
         J_set=J_set,
     )
-
-
-def _subsets_of_classes(bs: BlockStructure):
-    for picks in itertools.product((False, True), repeat=len(bs.classes)):
-        yield frozenset(
-            v for theta, take in zip(bs.classes, picks) if take for v in theta
-        )
 
 
 def _meets_evenly(subset: frozenset[int], S0) -> bool:
@@ -262,13 +267,13 @@ def _within_J(cp: ClassPartition, J) -> frozenset[int]:
     return J
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
 def full_group(cp: ClassPartition) -> tuple[CharFn, ...]:
     """P(lam): every subset of S(lam), smallest-first."""
     return tuple(CharFn(cp, a) for a in _subsets_in_order(cp.S))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
 def char_group(cp: ClassPartition) -> tuple[CharFn, ...]:
     """P(lam)_0: the subsets meeting S_0(lam) in an even number of values.
 
@@ -279,20 +284,29 @@ def char_group(cp: ClassPartition) -> tuple[CharFn, ...]:
     )
 
 
-@functools.lru_cache(maxsize=None)
+def canonical_subsets(cp: ClassPartition) -> frozenset[frozenset[int]]:
+    """Pdagger(lam)_0 as subsets of S(lam): the block-constant subsets
+    that meet S_0(lam) evenly; not cached.
+
+    At most one class (the tail or ground class) meets S_0 in an odd
+    number of values, so these are the unions of the other classes.
+    """
+    out = {frozenset()}
+    for theta in block_classes(cp):
+        theta = frozenset(theta)
+        if _meets_evenly(theta, cp.S0):
+            out |= {a | theta for a in out}
+    return frozenset(out)
+
+
+@functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
 def canonical_subgroup(cp: ClassPartition) -> tuple[CharFn, ...]:
-    """Pdagger(lam)_0: block-constant members of P(lam)_0.
+    """Pdagger(lam)_0: block-constant members of P(lam)_0, smallest-first.
 
     This is the character group of the canonical quotient A+(O_lam).
     """
-    bs = block_structure(cp)
-    subs = sorted(_subsets_of_classes(bs), key=lambda a: (len(a), sorted(a)))
-    out = []
-    for a in subs:
-        fn = CharFn(cp, a)
-        if fn.in_P0:
-            out.append(fn)
-    return tuple(out)
+    subs = sorted(canonical_subsets(cp), key=lambda a: (len(a), sorted(a)))
+    return tuple(CharFn(cp, a) for a in subs)
 
 
 def char_group_order(cp: ClassPartition) -> int:
@@ -356,7 +370,7 @@ def _piece_move_set(cp: ClassPartition, mu: ClassPartition) -> frozenset[int]:
 
 def _check_canonical(cp: ClassPartition, eps: CharFn) -> None:
     """:class:`NotCanonical` unless eps lies in Pdagger(lam)_0."""
-    if eps.base != cp or eps not in canonical_subgroup(cp):
+    if eps.base != cp or eps.subset not in canonical_subsets(cp):
         raise NotCanonical(f"{eps!r} not in the canonical subgroup of {cp.lam!r}")
 
 

@@ -58,6 +58,11 @@ def _int_set(text):
     return frozenset(_int_token(tok) for tok in body.split(",") if tok.strip())
 
 
+# The largest |lam| that Partition.from_text reads; a larger text is
+# refused before its exponents are expanded.
+MAX_PARSED_SIZE = 10_000
+
+
 class Partition(tuple):
     """An immutable partition: a weakly decreasing tuple of positive integers.
 
@@ -95,12 +100,14 @@ class Partition(tuple):
         four parts equal to 7.  An exponent must be a positive integer;
         ``7^0`` or ``7^-1`` raises ValueError.  Every number is an optional
         minus sign and ASCII digits (``1_0``, ``+5`` and non-ASCII digits
-        raise ValueError).  Whitespace around tokens is ignored.
+        raise ValueError).  Whitespace around tokens is ignored.  A text
+        whose parts add up to more than :data:`MAX_PARSED_SIZE` in absolute
+        value raises ValueError before any exponent is expanded.
         """
         text = text.strip()
         if not text or text in ("-", "0", "()"):
             return cls()
-        parts = []
+        runs = []
         for token in text.split(","):
             token = token.strip()
             if "^" in token:
@@ -108,10 +115,14 @@ class Partition(tuple):
                 count = _int_token(exp)
                 if count <= 0:
                     raise ValueError(f"exponent in {token!r} must be positive")
-                parts.extend([_int_token(base)] * count)
+                runs.append((_int_token(base), count))
             else:
-                parts.append(_int_token(token))
-        return cls(parts)
+                runs.append((_int_token(token), 1))
+        # sized before anything is expanded; a zero part is dropped unexpanded
+        size = sum(abs(v) * m for v, m in runs)
+        if size > MAX_PARSED_SIZE:
+            raise ValueError(f"partition size {size} exceeds the bound {MAX_PARSED_SIZE}")
+        return cls(v for v, m in runs if v for _ in range(m))
 
     def to_text(self):
         """Inverse of :meth:`from_text`, using exponents for repeats."""

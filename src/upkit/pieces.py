@@ -25,7 +25,14 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .components import _subsets_in_order, _t_down_raw, _t_up_raw, _within_J, block_structure
+from .components import (
+    CLASS_CACHE_SIZE,
+    _subsets_in_order,
+    _t_down_raw,
+    _t_up_raw,
+    _within_J,
+    block_structure,
+)
 from .errors import NotInI
 from .partitions import (
     ClassPartition,
@@ -134,7 +141,7 @@ def collapse(lam: Partition, gt: GroupType) -> Partition:
             parts.append(1)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
 def bvls_dual(cp: ClassPartition) -> ClassPartition:
     """The order-reversing duality d between P^{+1}(N) and P^{-1}(N-1).
 

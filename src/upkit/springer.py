@@ -59,7 +59,7 @@ import functools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .components import CharFn, _meets_evenly, _subsets_in_order, block_structure
+from .components import CharFn, _meets_evenly, _subsets_in_order, block_classes
 from .errors import BadParity, MalformedOutput, NotSpringerType
 from .partitions import ClassPartition, GroupType, Partition, classify
 from .wreps import Bipartition, e_family
@@ -161,15 +161,15 @@ def _class_index(cp: ClassPartition) -> _ClassIndex:
     first: dict[int, int] = {}
     for i, p in enumerate(lam, 1):
         first.setdefault(p, i)
-    bs = block_structure(cp)
+    classes = block_classes(cp)
     s0 = frozenset(cp.S0)
-    smax = {theta[-1] for theta in bs.classes}
-    smin = {theta[0] for theta in bs.classes}
+    smax = {theta[-1] for theta in classes}
+    smin = {theta[0] for theta in classes}
     if lam:
         if cp.gt.s == 1:
             smax.discard(lam[0])
         else:
-            bottom = bs.classes[0]
+            bottom = classes[0]
             if bottom[-1] == lam[len(lam) - 1] and bottom[-1] in s0:
                 smin.discard(bottom[-1])
     weight = {a: (a in smax) - (a in smin) for a in smax | smin}

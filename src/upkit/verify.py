@@ -14,7 +14,7 @@ LR against the W_n oracle) stay in separate modules that share no code.
 
 from __future__ import annotations
 
-from .components import CharFn, _subsets_in_order, block_structure, canonical_subgroup
+from .components import CharFn, _subsets_in_order, block_structure, canonical_subsets
 from .moeglin import arthur_character, merge_chain, tempered_intersection
 from .params import ENUM_BOUND, verify_almost_intro
 from .partitions import (
@@ -165,7 +165,7 @@ def check_theoremC(gt: GroupType) -> int:
     """
     checked = 0
     for cp in good_parity_classes(gt):
-        adag = {e.subset for e in canonical_subgroup(cp)}
+        adag = canonical_subsets(cp)
         for sub, _, _, spherical in character_sweep(cp):
             if spherical != (sub in adag):
                 raise VerificationFailed(

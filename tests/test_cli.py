@@ -18,7 +18,7 @@ from upkit import verify, wreps
 from upkit.cli import _verify_cell, main
 from upkit.errors import MalformedOutput
 from upkit.params import tempered_table
-from upkit.partitions import GroupType, Partition
+from upkit.partitions import MAX_PARSED_SIZE, GroupType, Partition
 
 
 def run(capsys, *argv):
@@ -267,6 +267,21 @@ def test_integer_tokens_are_ascii_digits_only(capsys, argv):
     assert "is not an integer" in captured.err
 
 
+@pytest.mark.parametrize(
+    "text", ["3^2,1^99999999999", "99999999999", f"1^{MAX_PARSED_SIZE + 1}"]
+)
+def test_oversized_partition_is_usage_error(text):
+    # refused before anything is expanded: no MemoryError, no work in |lam|
+    env = {**os.environ, "PYTHONPATH": str(Path(upkit.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "upkit.cli", "class-info", "--dual", "B", "--partition", text],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert f"exceeds the bound {MAX_PARSED_SIZE}" in proc.stderr
+
+
 def test_bad_parity_partition(capsys):
     # N even cannot be a B dual
     code, _ = run(capsys, "class-info", "--dual", "B", "--partition", "4,4")
@@ -421,7 +436,7 @@ def test_verify_fails_under_python_O():
     script = (
         "import sys, upkit.cli, upkit.verify\n"
         "if __debug__: sys.exit(99)\n"
-        "upkit.verify.canonical_subgroup = lambda cp: ()\n"
+        "upkit.verify.canonical_subsets = lambda cp: frozenset()\n"
         "sys.exit(upkit.cli.main(['verify', '--suite', 'theoremC', '--maxN', '9']))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(upkit.__file__).parents[1])}
@@ -467,15 +482,15 @@ def test_verify_records_broken_zero_gate_as_fail(capsys, monkeypatch):
 
 def test_theoremC_names_a_dropped_canonical_member(monkeypatch):
     # a canonical subgroup of B 5,3,1 missing (--+) fails at that character
-    real = verify.canonical_subgroup
+    real = verify.canonical_subsets
 
     def short(cp):
         members = real(cp)
         if cp.lam == (5, 3, 1):
-            members = tuple(e for e in members if e.to_text() != "(--+)")
+            members = members - {frozenset({1, 3})}  # (--+) on S = (1, 3, 5)
         return members
 
-    monkeypatch.setattr(verify, "canonical_subgroup", short)
+    monkeypatch.setattr(verify, "canonical_subsets", short)
     with pytest.raises(verify.VerificationFailed) as exc:
         verify.check_theoremC(GroupType(1, 9))
     assert str(exc.value) == (

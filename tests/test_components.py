@@ -4,8 +4,10 @@ import pytest
 
 from upkit.components import (
     CharFn,
+    block_classes,
     block_structure,
     canonical_subgroup,
+    canonical_subsets,
     char_group,
     char_group_order,
     full_group,
@@ -255,6 +257,21 @@ def test_canonical_subgroup_fixtures():
         frozenset({3, 5}),
         frozenset({1, 3, 5}),
     }
+
+
+def test_canonical_subsets_are_the_canonical_subgroup():
+    # against every union of block classes that meets S_0 evenly
+    for cp in both_types(20):
+        classes = block_structure(cp).classes
+        assert block_classes(cp) == classes
+        unions = (
+            frozenset(v for theta, take in zip(classes, picks) if take for v in theta)
+            for picks in itertools.product((False, True), repeat=len(classes))
+        )
+        brute = {a for a in unions if len(a.intersection(cp.S0)) % 2 == 0}
+        members = [fn.subset for fn in canonical_subgroup(cp)]
+        assert canonical_subsets(cp) == set(members) == brute
+        assert members == sorted(members, key=lambda a: (len(a), sorted(a)))
 
 
 def test_triangular_canonical_count():

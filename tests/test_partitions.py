@@ -7,6 +7,7 @@ import pytest
 from upkit.components import CharFn
 from upkit.errors import BoundExceeded, NotContained, ParityViolation, WrongTotal
 from upkit.partitions import (
+    MAX_PARSED_SIZE,
     ClassPartition,
     GroupType,
     Partition,
@@ -47,6 +48,14 @@ def test_text_roundtrip():
 def test_nonpositive_exponent_rejected():
     for text in ("5,1^-3,3,1", "7^-1", "5,3^0,1", "2^0"):
         with pytest.raises(ValueError):
+            P(text)
+
+
+def test_text_is_sized_before_it_is_expanded():
+    assert P(f"1^{MAX_PARSED_SIZE}").size == MAX_PARSED_SIZE
+    assert P("2,0^99999999999") == (2,)
+    for text in (f"1^{MAX_PARSED_SIZE + 1}", "3^2,1^99999999999", "-1^99999999999"):
+        with pytest.raises(ValueError, match="exceeds the bound"):
             P(text)
 
 
