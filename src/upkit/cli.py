@@ -16,8 +16,15 @@ import os
 import sys
 from collections import Counter
 
-from .components import CharFn, _within_J, block_structure, canonical_subgroup, char_group_order
-from .errors import MalformedOutput, UpkitError
+from .components import (
+    CharFn,
+    _within_J,
+    block_structure,
+    canonical_subgroup,
+    canonical_subgroup_order,
+    char_group_order,
+)
+from .errors import BoundExceeded, MalformedOutput, UpkitError
 from .params import packets_containing, weak_packet
 from .partitions import (
     DEFAULT_ENUMERATION_BOUND,
@@ -42,6 +49,11 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
+
+# The most canonical-subgroup characters class-info lists.  The 25-part
+# staircase 49,47,...,1 has exactly this many and lists in about 0.5 s;
+# each two more parts multiply the count, and the time, by four.
+A_DAGGER_BOUND = 2**12
 
 
 def _max_n_cap() -> int:
@@ -113,6 +125,11 @@ def cmd_classes(args) -> int:
 
 def cmd_class_info(args) -> int:
     cp = args.cp
+    size = canonical_subgroup_order(cp)
+    if size > A_DAGGER_BOUND:
+        raise BoundExceeded(
+            f"canonical subgroup has {size} characters, above the class-info bound {A_DAGGER_BOUND}"
+        )
     bs = block_structure(cp)
     _emit(
         {

@@ -49,6 +49,7 @@ __all__ = [
     "t_character",
     "iota_embed",
     "char_group_order",
+    "canonical_subgroup_order",
 ]
 
 
@@ -133,18 +134,6 @@ class BlockStructure:
     @property
     def special(self) -> bool:
         return not self.I_set
-
-    def theta_min(self, i: int) -> int:
-        return self.classes[i][0]
-
-    def theta_max(self, i: int) -> int:
-        return self.classes[i][-1]
-
-    def class_of(self, value: int) -> int:
-        for i, theta in enumerate(self.classes):
-            if value in theta:
-                return i
-        raise KeyError(f"{value} not in S(lam) = {self.cp.S}")
 
     def outside(self) -> Partition:
         """lam with all blocks removed: bad-parity values missed by every
@@ -313,6 +302,12 @@ def char_group_order(cp: ClassPartition) -> int:
     """|P(lam)_0| without enumeration: 2^(|S|-1) when S_0 is nonempty."""
     k = len(cp.S)
     return 2 ** (k - 1) if cp.S0 else 2 ** k
+
+
+def canonical_subgroup_order(cp: ClassPartition) -> int:
+    """|Pdagger(lam)_0| without enumeration: 2^(number of classes meeting
+    S_0(lam) evenly), the classes whose unions :func:`canonical_subsets` lists."""
+    return 2 ** sum(_meets_evenly(frozenset(theta), cp.S0) for theta in block_classes(cp))
 
 
 def t_character(cp: ClassPartition, c: int):

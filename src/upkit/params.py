@@ -25,6 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .components import (
+    CLASS_CACHE_SIZE,
     _check_canonical,
     _neighbours,
     _subsets_in_order,
@@ -86,13 +87,9 @@ class ATable:
         total = sum(a * b for a, b in entries)
         if total != self.gt.N:
             raise ValueError(f"dimensions sum to {total}, expected {self.gt.N}")
-        counts = Counter(entries)
-        want = 0 if self.gt.s == 1 else 1
-        for (a, b), m in counts.items():
-            if (a + b) % 2 != want and m % 2 == 1:
-                raise ValueError(
-                    f"bad-parity entry {(a, b)} has odd multiplicity {m}"
-                )
+        for entry, m in Counter(entries).items():
+            if not self.is_good(entry) and m % 2 == 1:
+                raise ValueError(f"bad-parity entry {entry} has odd multiplicity {m}")
 
     def is_good(self, entry: tuple[int, int]) -> bool:
         a, b = entry
@@ -338,11 +335,11 @@ class AlmostIntroReport:
     found: frozenset
 
 
-@functools.lru_cache(maxsize=1024)
-def _sl2_dual(ks: tuple[int, ...], gt: GroupType) -> ClassPartition:
-    """d of the class with SL2-partition ``ks``.  The many parameters of
-    one verify cell share a few hundred partitions, all of which fit."""
-    return bvls_dual(classify(Partition(ks), gt))
+@functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
+def _sl2_dual(ks: Partition, gt: GroupType) -> ClassPartition:
+    """d of the class with SL2-partition ``ks``; the many parameters of
+    one verify cell share a few hundred of them."""
+    return bvls_dual(classify(ks, gt))
 
 
 def verify_almost_intro(cp: ClassPartition) -> AlmostIntroReport:
@@ -350,12 +347,12 @@ def verify_almost_intro(cp: ClassPartition) -> AlmostIntroReport:
     dual as lam are exactly the near-tempered family of the piece cube."""
     expected = frozenset(
         l_param_of_table(near_tempered_table(cp, J))
-        for J, _ in special_piece(cp)
+        for J in _subsets_in_order(block_structure(cp).J_set)
     )
     d_lam = bvls_dual(cp)
     found = frozenset(
         phi
         for phi in enumerate_lparams_with_inf_char(chi_z_lambda(cp), cp.gt)
-        if _sl2_dual(tuple(sorted(k for _, k in phi.summands)), cp.gt) == d_lam
+        if _sl2_dual(phi.sl2_partition(), cp.gt) == d_lam
     )
     return AlmostIntroReport(ok=(found == expected), expected=expected, found=found)

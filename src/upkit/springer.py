@@ -55,7 +55,6 @@ serve one character at a time.
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -153,10 +152,7 @@ class _ClassIndex:
     shift: tuple[int, ...]
 
 
-@functools.lru_cache(maxsize=64)
 def _class_index(cp: ClassPartition) -> _ClassIndex:
-    # a verify cell asks about every character of one class in a row,
-    # so a few dozen classes cover every reuse
     lam = cp.lam
     first: dict[int, int] = {}
     for i, p in enumerate(lam, 1):
@@ -207,11 +203,12 @@ def _signs(lam: Partition, sub) -> tuple[list[int], list[int], list[int]]:
 
 def x_eps(cp: ClassPartition, sub) -> tuple[int, ...]:
     """X_eps of the character with subset sub: the indices i in X where
-    eps(lam_i) != eps(lam_{i-1})."""
+    eps(lam_i) != eps(lam_{i-1}).  At an index outside X the part repeats
+    the one before it, so the test alone picks X_eps out of 1..ell."""
     lam = cp.lam
     return tuple(
         i
-        for i in _class_index(cp).X
+        for i in range(1, len(lam) + 1)
         if (lam[i - 1] in sub) != (i > 1 and lam[i - 2] in sub)
     )
 

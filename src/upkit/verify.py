@@ -8,8 +8,12 @@ the number of checks it made.  A failed check raises
 acceptance tests call the same functions at their own bounds.
 
 Only the check bodies live here.  The two routes each check compares
-(block structure against tableaux, brute force against the piece cube,
-LR against the W_n oracle) stay in separate modules that share no code.
+stay apart at the call level, which ``tests/test_two_routes.py`` checks:
+the canonical subgroup (``components``) imports nothing from the tableau
+route (``springer``); in ``wreps`` the oracle ``oracle_mult`` reaches
+none of ``pieri``, ``lr_mult`` or ``induce_table``; and in ``params`` the
+brute force ``enumerate_lparams_with_inf_char`` reaches none of
+``near_tempered_table``, ``special_piece`` or ``block_structure``.
 """
 
 from __future__ import annotations
@@ -120,7 +124,7 @@ def check_almost(gt: GroupType) -> int:
     checked = 0
     for cp in enumerate_classes(gt):
         report = verify_almost_intro(cp)
-        if not report.ok or len(report.found) != len(special_piece(cp)):
+        if not report.ok or len(report.found) != 2 ** len(block_structure(cp).J_set):
             raise VerificationFailed(f"{_at(cp)}: brute force disagrees with the piece cube")
         checked += 1
     return checked

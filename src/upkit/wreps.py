@@ -213,12 +213,17 @@ def induce_mult(x: Bipartition, y: Bipartition, target: Bipartition) -> int:
 
 
 def induce_table(x: Bipartition, y: Bipartition) -> dict:
-    """Full decomposition of ind x x y as {target: multiplicity}, zeros dropped."""
+    """Full decomposition of ind x x y as {target: multiplicity}, zeros
+    dropped, in :func:`bipartitions_of` order.  Only the targets with
+    |alpha| = |x.alpha| + |y.alpha| and |beta| = |x.beta| + |y.beta| can occur."""
+    nb = x.beta.size + y.beta.size
+    betas = [(beta, m) for beta in partitions_of(nb) if (m := lr_mult(x.beta, y.beta, beta))]
     out = {}
-    for target in bipartitions_of(x.n + y.n):
-        m = induce_mult(x, y, target)
+    for alpha in partitions_of(x.alpha.size + y.alpha.size):
+        m = lr_mult(x.alpha, y.alpha, alpha)
         if m:
-            out[target] = m
+            for beta, mb in betas:
+                out[Bipartition(alpha, beta)] = m * mb
     return out
 
 

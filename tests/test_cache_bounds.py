@@ -1,9 +1,9 @@
-"""Every lru_cache in upkit is bounded, except the ones listed here.
+"""Every lru_cache in upkit has the one bound, except the ones listed here.
 
-An unbounded cache grows with every class a sweep visits.  The caches
-below are keyed by degrees, bipartitions and run multisets, not by
-classes; every class-keyed cache has the bound ``CLASS_CACHE_SIZE``, and
-a new cache needs a ``maxsize``.
+An unbounded cache grows with every class a sweep visits.  The caches in
+``UNBOUNDED`` are keyed by degrees, bipartitions and run multisets, not by
+classes; every other cache has the bound ``CLASS_CACHE_SIZE``, so a new
+cache cannot bring a bound of its own.
 """
 
 import importlib
@@ -27,6 +27,7 @@ CLASS_KEYED = {
     "upkit.components.char_group",
     "upkit.components.canonical_subgroup",
     "upkit.pieces.bvls_dual",
+    "upkit.params._sl2_dual",
 }
 
 
@@ -41,9 +42,9 @@ def _caches():
 
 def test_new_caches_are_bounded():
     maxsizes = {name: fn.cache_parameters()["maxsize"] for name, fn in _caches()}
-    assert "upkit.springer._class_index" in maxsizes
-    unbounded = {name for name, maxsize in maxsizes.items() if maxsize is None}
-    assert unbounded <= UNBOUNDED, sorted(unbounded - UNBOUNDED)
+    # no third bound: a cache is either listed unbounded or class-keyed
+    assert maxsizes.keys() - UNBOUNDED == CLASS_KEYED
+    assert {maxsizes[name] for name in UNBOUNDED} == {None}
     assert {maxsizes[name] for name in CLASS_KEYED} == {CLASS_CACHE_SIZE}
 
 

@@ -5,6 +5,7 @@ import select
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import upkit.params
 import upkit.pieces
 import upkit.springer
 from upkit import verify, wreps
-from upkit.cli import _verify_cell, main
+from upkit.cli import A_DAGGER_BOUND, _verify_cell, main
 from upkit.errors import MalformedOutput
 from upkit.params import tempered_table
 from upkit.partitions import MAX_PARSED_SIZE, GroupType, Partition
@@ -111,6 +112,33 @@ def test_class_info_pretty_equivalent(capsys):
     pretty = capsys.readouterr().out
     assert code == 0
     assert json.loads(pretty) == json.loads(compact[0])
+
+
+def _staircase(parts):
+    return ",".join(str(v) for v in range(2 * parts - 1, 0, -2))
+
+
+def test_class_info_refuses_above_the_bound(capsys):
+    # the 35-part staircase has 2^17 canonical characters; counted, not listed
+    start = time.perf_counter()
+    code = main(["class-info", "--dual", "B", "--partition", _staircase(35)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == (
+        "upkit: canonical subgroup has 131072 characters, "
+        f"above the class-info bound {A_DAGGER_BOUND}\n"
+    )
+    assert elapsed < 1.0
+
+
+def test_class_info_lists_at_the_bound(capsys):
+    # the 25-part staircase has exactly 2^12 = A_DAGGER_BOUND characters
+    code, lines = run(capsys, "class-info", "--dual", "B", "--partition", _staircase(25))
+    assert code == 0
+    rec = json.loads(lines[0])
+    assert len(rec["A_dagger"]) == len(rec["A_dagger_signs"]) == A_DAGGER_BOUND
+    assert rec["A_dagger"][:3] == [[], [1, 3], [5, 7]]
 
 
 # -------------------------------------------------------------- weak-packet

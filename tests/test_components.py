@@ -7,6 +7,7 @@ from upkit.components import (
     block_classes,
     block_structure,
     canonical_subgroup,
+    canonical_subgroup_order,
     canonical_subsets,
     char_group,
     char_group_order,
@@ -290,6 +291,14 @@ def test_char_group_is_the_P0_part_of_full_group():
 def test_char_group_order_formula():
     for cp in both_types(18):
         assert len(char_group(cp)) == char_group_order(cp)
+
+
+def test_canonical_subgroup_order_formula():
+    for cp in both_types(20):
+        assert len(canonical_subsets(cp)) == canonical_subgroup_order(cp)
+    # the 35-part staircase: 17 pair classes and the tail, never listed
+    staircase = B(",".join(str(v) for v in range(69, 0, -2)))
+    assert canonical_subgroup_order(staircase) == 2**17
 
 
 def test_canonical_subgroup_is_subgroup():

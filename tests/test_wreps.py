@@ -287,6 +287,26 @@ def test_induce_sgn_times_triv_is_irreducible():
             assert table == {e_rep(-1, n, i): 1}
 
 
+def _induce_table_by_scan(x, y):
+    # the definition induce_table refines: scan every target of degree n
+    out = {}
+    for target in bipartitions_of(x.n + y.n):
+        m = induce_mult(x, y, target)
+        if m:
+            out[target] = m
+    return out
+
+
+def test_induce_table_matches_full_scan():
+    # past the oracle's n <= 5 in tier-1: same targets, same order
+    for n in range(7):
+        for i in range(n + 1):
+            for x in bipartitions_of(i):
+                for y in bipartitions_of(n - i):
+                    table = list(induce_table(x, y).items())
+                    assert table == list(_induce_table_by_scan(x, y).items()), (x, y)
+
+
 def test_induce_dimension_bookkeeping():
     for n in range(5):
         for i in range(n + 1):
