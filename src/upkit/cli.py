@@ -25,7 +25,7 @@ from .components import (
     char_group_order,
 )
 from .errors import BoundExceeded, MalformedOutput, UpkitError
-from .params import packets_containing, weak_packet
+from .params import _check_z, _member_moves, packets_containing, weak_packet
 from .partitions import (
     DEFAULT_ENUMERATION_BOUND,
     GroupType,
@@ -50,9 +50,11 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
 
-# The most canonical-subgroup characters class-info lists.  The 25-part
-# staircase 49,47,...,1 has exactly this many and lists in about 0.5 s;
-# each two more parts multiply the count, and the time, by four.
+# The most canonical-subgroup characters a class may have for class-info,
+# weak-packet and membership.  class-info lists them; the other two list
+# at most 2^|J(lam)| <= 2 |Pdagger(lam)_0| rows.  The 25-part staircase
+# 49,47,...,1 has exactly this many and lists in about 0.5 s; each two
+# more parts multiply the count, and the time, by four.
 A_DAGGER_BOUND = 2**12
 
 
@@ -123,13 +125,19 @@ def cmd_classes(args) -> int:
     return EXIT_OK
 
 
-def cmd_class_info(args) -> int:
-    cp = args.cp
-    size = canonical_subgroup_order(cp)
+def _check_a_dagger(args) -> None:
+    """:class:`BoundExceeded` when the canonical subgroup of args.cp has more
+    than A_DAGGER_BOUND characters; counted, so nothing is built."""
+    size = canonical_subgroup_order(args.cp)
     if size > A_DAGGER_BOUND:
         raise BoundExceeded(
-            f"canonical subgroup has {size} characters, above the class-info bound {A_DAGGER_BOUND}"
+            f"canonical subgroup has {size} characters, above the {args.command} bound {A_DAGGER_BOUND}"
         )
+
+
+def cmd_class_info(args) -> int:
+    _check_a_dagger(args)
+    cp = args.cp
     bs = block_structure(cp)
     _emit(
         {
@@ -153,6 +161,7 @@ def cmd_class_info(args) -> int:
 
 
 def cmd_weak_packet(args) -> int:
+    _check_a_dagger(args)
     rows = weak_packet(args.cp, args.z)
     for row in rows:
         _emit(
@@ -179,13 +188,16 @@ def cmd_weak_packet(args) -> int:
 
 
 def cmd_membership(args) -> int:
-    hits = packets_containing(args.cp, args.eps, args.z)
+    _check_a_dagger(args)
     if args.J is not None:
+        # the errors of the listing, in its order, without building a table
+        moves = _member_moves(args.cp, args.eps)
+        _check_z(args.z, args.cp.gt)
         _within_J(args.cp, args.J)
         _emit(
             {
                 "J": sorted(args.J),
-                "contains": args.J in {J for J, _ in hits},
+                "contains": args.J <= moves,
                 **_eps_fields(args.eps),
                 "partition": args.cp.lam.to_text(),
                 "record": "membership",
@@ -193,6 +205,7 @@ def cmd_membership(args) -> int:
             args.pretty,
         )
         return EXIT_OK
+    hits = packets_containing(args.cp, args.eps, args.z)
     for J, table in hits:
         _emit(
             {"J": sorted(J), "record": "packet", "table": table.to_json()},
@@ -227,6 +240,9 @@ def cmd_springer(args) -> int:
 
 def cmd_sphericity(args) -> int:
     cp, eps = args.cp, args.eps
+    # only P(lam)_0 labels packet members; lam^gp has the same S and S_0
+    if not eps.in_P0:
+        raise ValueError(f"{eps!r} lies outside P(lam)_0; gamma is derived there")
     _emit(
         {
             "dual": cp.gt.letter,

@@ -11,7 +11,7 @@ realizes three nested structures:
   realize the character group of Lusztig's canonical quotient A+(O).
 
 "Block-constant" refers to the canonical partition of S(lam) into
-*classes* computed by :func:`block_structure`: scanning S(lam) in
+*classes* computed by :func:`block_classes`: scanning S(lam) in
 increasing order, the elements of S_0(lam) are joined in consecutive
 pairs, each pair span absorbing any non-multiplicity-free values lying
 between its endpoints.  For ``s = +1`` the number of S_0-elements is odd
@@ -154,41 +154,33 @@ class BlockStructure:
 CLASS_CACHE_SIZE = 1024
 
 
-def _spans(cp: ClassPartition) -> list[tuple[int, int]]:
-    """Index spans (p, q) of the classes inside ascending S(lam)."""
-    S = cp.S
-    k = len(S)
-    s0 = set(cp.S0)
-    pos0 = [i for i, v in enumerate(S) if v in s0]
-    r = len(pos0)
-    spans: list[tuple[int, int]] = []
-    if cp.gt.s == 1:
-        # |lam| odd forces r odd (and >= 1 when lam is nonempty).
-        spans += ((pos0[i], pos0[i + 1]) for i in range(0, r - 1, 2))
-        if r:
-            spans.append((pos0[r - 1], k - 1))
-    else:
-        first = r % 2
-        if first:
-            spans.append((0, pos0[0]))
-        spans += ((pos0[i], pos0[i + 1]) for i in range(first, r - 1, 2))
-    covered = set()
-    for p, q in spans:
-        covered.update(range(p, q + 1))
-    spans.extend((i, i) for i in range(k) if i not in covered)
-    spans.sort()
-    return spans
-
-
 def block_classes(cp: ClassPartition) -> tuple[tuple[int, ...], ...]:
     """The canonical classes of S(lam), ascending, without the rest of
     :class:`BlockStructure`; not cached.
 
-    A pair class meets S_0(lam) in two values, the tail (s = +1) or
-    ground (s = -1) class in one, a singleton in none.
+    One scan up S(lam): an S_0 value opens a class and the next one
+    closes it, absorbing the values in between; a value outside any open
+    class is a singleton.  For s = -1 and |S_0| odd the ground class is
+    open from the bottom; for s = +1 the last S_0 value opens the tail
+    class, which runs to the top.
     """
-    S = cp.S
-    return tuple(S[p : q + 1] for p, q in _spans(cp))
+    s0 = set(cp.S0)
+    classes = []
+    current = [] if cp.gt.s == -1 and len(s0) % 2 else None
+    for v in cp.S:
+        if current is not None:
+            current.append(v)
+            if v in s0:
+                classes.append(tuple(current))
+                current = None
+        elif v in s0:
+            current = [v]
+        else:
+            classes.append((v,))
+    if current is not None:
+        # the tail: for s = +1, |lam| odd forces |S_0| odd
+        classes.append(tuple(current))
+    return tuple(classes)
 
 
 @functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
@@ -208,26 +200,21 @@ def block_structure(cp: ClassPartition) -> BlockStructure:
     bad = lambda v: not cp.gt.good_parity(v)  # noqa: E731
     I_set = frozenset(v for blk in blocks for v in blk.supp if bad(v))
 
-    admissible = []
-    for i, theta in enumerate(classes):
-        tmin, tmax = theta[0], theta[-1]
-        ok = any(other[-1] == tmin - 2 for other in classes)
-        if not ok and tmin == 2:
-            if tmin == tmax:
-                ok = 2 not in s0
-            else:
-                ok = 2 in s0
-        admissible.append(ok)
-    J_set = frozenset(
-        classes[i][0] - 1 for i in range(len(classes)) if admissible[i]
+    # theta is admissible when theta_min - 2 tops some class, or when it
+    # starts at 2 and holds more than one value exactly when 2 is in S_0
+    tops = {theta[-1] for theta in classes}
+    admissible = tuple(
+        theta[0] - 2 in tops or (theta[0] == 2 and (2 in s0) == (len(theta) > 1))
+        for theta in classes
     )
+    J_set = frozenset(theta[0] - 1 for theta, ok in zip(classes, admissible) if ok)
     return BlockStructure(
         cp=cp,
         classes=classes,
         kinds=kinds,
         ranges=ranges,
         blocks=blocks,
-        admissible=tuple(admissible),
+        admissible=admissible,
         I_set=I_set,
         J_set=J_set,
     )

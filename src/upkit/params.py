@@ -255,16 +255,23 @@ def weak_packet(cp: ClassPartition, z: int = 1) -> list[WeakPacketRow]:
     return rows
 
 
-def packets_containing(cp: ClassPartition, eps, z: int = 1) -> list[tuple[frozenset[int], ATable]]:
-    """All (J, m_{lam,J}) whose packet contains the member labelled eps.
+def _member_moves(cp: ClassPartition, eps) -> frozenset[int]:
+    """The c in J(lam) with t_c(eps) != 1: the packet for J contains the
+    member labelled eps exactly when J lies inside this set, so J = empty
+    set always qualifies.
 
     ``eps`` must lie in the canonical subgroup Pdagger(lam)_0 (error
-    :class:`NotCanonical`); the packet for J contains it exactly when
-    t_c(eps) != 1 for every c in J, so J = empty set always qualifies.
+    :class:`NotCanonical`).
     """
     _check_canonical(cp, eps)
-    hits = [c for c in block_structure(cp).J_set if t_character(cp, c)(eps) != 1]
-    return [(J, near_tempered_table(cp, J, z)) for J in _subsets_in_order(hits)]
+    return frozenset(c for c in block_structure(cp).J_set if t_character(cp, c)(eps) != 1)
+
+
+def packets_containing(cp: ClassPartition, eps, z: int = 1) -> list[tuple[frozenset[int], ATable]]:
+    """All (J, m_{lam,J}) whose packet contains the member labelled eps:
+    one per subset J of :func:`_member_moves`, smallest-first.  Raises
+    :class:`NotCanonical` unless eps lies in Pdagger(lam)_0."""
+    return [(J, near_tempered_table(cp, J, z)) for J in _subsets_in_order(_member_moves(cp, eps))]
 
 
 @functools.lru_cache(maxsize=None)

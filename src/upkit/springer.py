@@ -240,15 +240,11 @@ def defect(sd: SpringerIndexData, i: int) -> int:
     """D_eps(i); the index 0 uses the lam_0 > lam_1 convention."""
     if not 0 <= i <= sd.ell:
         raise ValueError(f"index {i} outside 0..{sd.ell}")
-    hi = (sd.lam[0] + 1 if sd.lam else 1) if i == 0 else sd.lam[i - 1]
-    ind = sd.eps.indicator
-    return sum(ind(a) for a in sd.S_max if a < hi) - sum(
-        ind(a) for a in sd.S_min if a < hi
-    )
+    return _defects(_class_index(sd.base), sd.eps.subset)[i]
 
 
 def _defects(ci: _ClassIndex, sub) -> list[int]:
-    """[D_eps(0), ..., D_eps(ell)], equal to :func:`defect` at every index.
+    """[D_eps(0), ..., D_eps(ell)], the one computation of the defect.
 
     Read off the class's ascending value table: D_eps(i) sums the
     weights of the eps-values among the first ``low[i]`` entries.

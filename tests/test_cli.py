@@ -158,6 +158,29 @@ def test_weak_packet_531(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "command", [["weak-packet"], ["membership", "--eps", "{}"], ["membership", "--eps", "{}", "--J", "{}"]]
+)
+def test_listings_refuse_above_the_bound(capsys, command):
+    # 2^|J(lam)| <= 2 |Pdagger(lam)_0|, so the class-info gate bounds the rows
+    start = time.perf_counter()
+    code = main([command[0], "--dual", "B", "--partition", _staircase(35), *command[1:]])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == (
+        "upkit: canonical subgroup has 131072 characters, "
+        f"above the {command[0]} bound {A_DAGGER_BOUND}\n"
+    )
+    assert elapsed < 1.0
+
+
+def test_weak_packet_lists_at_the_bound(capsys):
+    code, lines = run(capsys, "weak-packet", "--dual", "B", "--partition", _staircase(25))
+    assert code == 0
+    assert len(lines) == 2**12 + 1
+
+
 # --------------------------------------------------------------- membership
 
 def test_membership_531(capsys):
@@ -209,6 +232,36 @@ def test_membership_outside_canonical(capsys):
     assert code == 3  # {3,5} is not in the canonical subgroup
 
 
+def test_membership_with_J_builds_no_table(capsys, monkeypatch):
+    argv = ["membership", "--dual", "B", "--partition", "5,3,1", "--eps", "{1,3}"]
+    want = {J: run(capsys, *argv, "--J", J) for J in ("{4}", "{}")}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("membership --J built a table")
+
+    monkeypatch.setattr(upkit.params, "near_tempered_table", refuse)
+    for J, result in want.items():
+        assert run(capsys, *argv, "--J", J) == result
+
+
+@pytest.mark.parametrize(
+    "eps, J, z, message",
+    [
+        # not canonical comes before not in J(lam), as in the listing
+        ("{3,5}", "{2}", "1", "not in the canonical subgroup"),
+        ("{1,3}", "{2}", "-1", "z = -1 needs a dual group"),
+        ("{1,3}", "{2}", "1", "not in J(lam)"),
+    ],
+)
+def test_membership_with_J_error_order(capsys, eps, J, z, message):
+    code = main(
+        ["membership", "--dual", "B", "--partition", "5,3,1", "--eps", eps, "--J", J, "--z", z]
+    )
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and message in captured.err
+
+
 # ----------------------------------------------------------------- springer
 
 def test_springer_golden(capsys):
@@ -252,6 +305,19 @@ def test_sphericity_531(capsys, eps, want):
     )
     assert code == 0
     assert json.loads(lines[0])["weakly_spherical"] is want
+
+
+@pytest.mark.parametrize(
+    "dual, partition, eps",
+    [("B", "5,3,1", "{1}"), ("C", "4,2,2", "(--)"), ("C", "10,10,4,4,2", "{2}")],
+)
+def test_sphericity_refuses_outside_P0(capsys, dual, partition, eps):
+    # a character outside P(lam)_0 labels no packet member: no answer, not False
+    code = main(["sphericity", "--dual", dual, "--partition", partition, f"--eps={eps}"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "lies outside P(lam)_0" in captured.err
 
 
 def test_sphericity_mixed_parity(capsys):

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from upkit.components import (
+    BlockStructure,
     CharFn,
     block_classes,
     block_structure,
@@ -63,6 +64,81 @@ def test_classes_partition_s_consecutively():
         bs = block_structure(cp)
         flattened = [v for theta in bs.classes for v in theta]
         assert tuple(flattened) == cp.S  # disjoint, ordered, exhaustive
+
+
+def _ref_spans(cp):
+    # index spans of the classes: S_0 positions joined in pairs, the tail or
+    # ground span added, every uncovered position a singleton, then sorted
+    S = cp.S
+    k = len(S)
+    s0 = set(cp.S0)
+    pos0 = [i for i, v in enumerate(S) if v in s0]
+    r = len(pos0)
+    spans = []
+    if cp.gt.s == 1:
+        spans += ((pos0[i], pos0[i + 1]) for i in range(0, r - 1, 2))
+        if r:
+            spans.append((pos0[r - 1], k - 1))
+    else:
+        first = r % 2
+        if first:
+            spans.append((0, pos0[0]))
+        spans += ((pos0[i], pos0[i + 1]) for i in range(first, r - 1, 2))
+    covered = set()
+    for p, q in spans:
+        covered.update(range(p, q + 1))
+    spans.extend((i, i) for i in range(k) if i not in covered)
+    spans.sort()
+    return spans
+
+
+def _ref_block_structure(cp):
+    lam = cp.lam
+    s0 = set(cp.S0)
+    classes = tuple(cp.S[p : q + 1] for p, q in _ref_spans(cp))
+    odd = "tail" if cp.gt.s == 1 else "ground"
+    kinds = tuple(("single", odd, "pair")[len(s0.intersection(theta))] for theta in classes)
+    ranges = tuple(
+        (1 if kind == "ground" else theta[0], lam[0] if kind == "tail" else theta[-1])
+        for theta, kind in zip(classes, kinds)
+    )
+    blocks = tuple(lam.interval(lo, hi) for lo, hi in ranges)
+    I_set = frozenset(
+        v for blk in blocks for v in blk.supp if not cp.gt.good_parity(v)
+    )
+    admissible = []
+    for theta in classes:
+        tmin, tmax = theta[0], theta[-1]
+        ok = any(other[-1] == tmin - 2 for other in classes)
+        if not ok and tmin == 2:
+            if tmin == tmax:
+                ok = 2 not in s0
+            else:
+                ok = 2 in s0
+        admissible.append(ok)
+    J_set = frozenset(
+        classes[i][0] - 1 for i in range(len(classes)) if admissible[i]
+    )
+    return BlockStructure(
+        cp=cp,
+        classes=classes,
+        kinds=kinds,
+        ranges=ranges,
+        blocks=blocks,
+        admissible=tuple(admissible),
+        I_set=I_set,
+        J_set=J_set,
+    )
+
+
+def test_class_scan_matches_span_reference():
+    # every class with N <= 30, uncached, against the span-and-sort builder
+    for cp in both_types(30):
+        ref = _ref_block_structure(cp)
+        assert block_classes(cp) == ref.classes, cp
+        assert block_structure.__wrapped__(cp) == ref, cp
+        even = sum(len(set(cp.S0).intersection(theta)) % 2 == 0 for theta in ref.classes)
+        assert canonical_subgroup_order(cp) == 2**even, cp
 
 
 def test_tail_and_ground_kinds():
