@@ -24,7 +24,7 @@ from .components import (
     canonical_subgroup_order,
     char_group_order,
 )
-from .errors import BoundExceeded, MalformedOutput, UpkitError
+from .errors import BoundExceeded, MalformedOutput, NotSpringerType, UpkitError
 from .params import _check_z, _member_moves, packets_containing, weak_packet
 from .partitions import (
     DEFAULT_ENUMERATION_BOUND,
@@ -218,6 +218,10 @@ def cmd_membership(args) -> int:
 def cmd_springer(args) -> int:
     cp, eps = args.cp, args.eps
     sd = springer_data(cp, eps)
+    # the command reports D_eps(0) first, in P(lam)_0 or not
+    d0 = defect(sd, 0)
+    if d0:
+        raise NotSpringerType(f"D_eps(0) = {d0} != 0 for {eps!r}")
     sigma = springer_bipartition(sd)
     _emit(
         {
@@ -227,7 +231,7 @@ def cmd_springer(args) -> int:
             "X_eps": list(sd.X_eps),
             "alpha": list(sigma.alpha),
             "beta": list(sigma.beta),
-            "defect0": defect(sd, 0),
+            "defect0": d0,
             "dual": cp.gt.letter,
             **_eps_fields(eps),
             "gamma": list(gamma_seq(sd)),

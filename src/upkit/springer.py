@@ -33,11 +33,16 @@ index k^u of any sign u satisfying
     gamma_{k^u} >= -u (Delta - tau * sum of ebar over prior row starts)
 
 or whose opposite sign is exhausted; both signs qualifying forks the
-enumeration.  gamma summed along rows and routed by the sign of each
-row start yields the bipartition set P(lam, eps, Delta, tau).  A
-character that is not of Springer type carries no Springer
-representation and heads an empty P-set; it is never weakly spherical
-(the canonical subgroup consists of Springer-type characters only).
+enumeration.  The walk holds the unused indices of each sign as an int
+bitmask, so a step reads the lowest set bit above k, and it runs as a
+loop that keeps each fork's pools on a stack and takes the +1 branch
+first.  gamma summed along rows and routed by the sign of each row
+start yields the bipartition set P(lam, eps, Delta, tau).  gamma is
+derived on P(lam)_0 only, and a character outside it is refused with
+ValueError before its Springer type is asked.  A character of P(lam)_0
+that is not of Springer type carries no Springer representation and
+heads an empty P-set; it is never weakly spherical (the canonical
+subgroup consists of Springer-type characters only).
 
 The order Lambda_{Delta,tau} merges Delta + alpha_i - tau(i-1) with
 beta_i - tau(i-1), descending, and compares prefix sums; for fixed n a
@@ -47,18 +52,20 @@ the family E^s_0, ..., E^s_n, at (Delta_G, tau_G) = (n + 1, 1) for
 s = +1 and (n + 1, 2n + 1) for s = -1.
 
 :func:`character_sweep` runs gamma and the tableau walk over every
-character of P(lam)_0 of one class in one pass, from per-class arrays;
-the theoremC and firstrow suites of :mod:`upkit.verify` read it.
+character of P(lam)_0 of one class in one pass, from per-class arrays
+that read a subset of S(lam) as an int bitmask; the theoremC and
+firstrow suites of :mod:`upkit.verify` read it.
 :func:`springer_data`, :func:`gamma_seq` and :func:`green_tableaux`
 serve one character at a time.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .components import CharFn, _meets_evenly, _subsets_in_order, block_classes
+from .components import CharFn, _subsets_in_order, block_classes
 from .errors import BadParity, MalformedOutput, NotSpringerType
 from .partitions import ClassPartition, GroupType, Partition, classify
 from .wreps import Bipartition, e_family
@@ -129,16 +136,21 @@ class SpringerIndexData:
         return self.X_plus if self.s == 1 else self.X_minus
 
 
-@dataclass(frozen=True)
-class _ClassIndex:
+class _ClassIndex(NamedTuple):
     """The part of the index data that depends on lam alone.
 
-    ``rtable`` lists the values of S_max and S_min, ascending, each with
-    its weight [a in S_max] - [a in S_min] (weight-0 values left out);
-    ``low[i]`` counts the table values below the threshold of D_eps(i):
-    lam_0 := lam_1 + 1 for i = 0, lam_i otherwise.  For i = 1..ell,
-    ``gtilde[i-1]`` is gtilde_i and ``shift[i-1]`` the term (-1)^i m that
-    eps(lam_i) = 1 adds to gamma_i.
+    A subset of S(lam) is read as an S-index bitmask, ``bit[a]`` being
+    the bit of the value a (its place in S, ascending).  ``plus`` and
+    ``minus`` mask the values of weight +1 and -1 in D_eps, the weight
+    of a being [a in S_max] - [a in S_min]; ``s0`` masks S_0(lam).
+
+    ``rows[i-1] = (bit of lam_i, off, on)`` for i = 1..ell, where ``off``
+    and ``on`` apply when eps(lam_i) is 0 and 1.  Each is
+    ``(g, c, plus, w)``: gamma_i = g + c D_eps(i), with g = gtilde_i plus
+    the term (-1)^i m when eps(lam_i) = 1 and c = -2 s ebar(i); ``plus``
+    tells whether ebar(i) = +1; and D_eps(i) = D_eps(i-1) - w, where w
+    is the weight of lam_i at the first index of its run when
+    eps(lam_i) = 1, and 0 otherwise.
     """
 
     base: ClassPartition
@@ -146,19 +158,25 @@ class _ClassIndex:
     S_max: frozenset[int]
     S_min: frozenset[int]
     S0: frozenset[int]
-    rtable: tuple[tuple[int, int], ...]
-    low: tuple[int, ...]
-    gtilde: tuple[int, ...]
-    shift: tuple[int, ...]
+    bit: dict[int, int]
+    plus: int
+    minus: int
+    s0: int
+    rows: tuple[tuple[int, tuple, tuple], ...]
+
+    def mask(self, sub) -> int:
+        """The S-index bitmask of the subset sub."""
+        return sum(map(self.bit.__getitem__, sub))
+
+    def defect0(self, mask: int) -> int:
+        """D_eps(0) of the character with S-index bitmask mask."""
+        return (mask & self.plus).bit_count() - (mask & self.minus).bit_count()
 
 
 def _class_index(cp: ClassPartition) -> _ClassIndex:
+    """The index data of lam alone, in one pass over its runs."""
     lam = cp.lam
-    first: dict[int, int] = {}
-    for i, p in enumerate(lam, 1):
-        first.setdefault(p, i)
     classes = block_classes(cp)
-    s0 = frozenset(cp.S0)
     smax = {theta[-1] for theta in classes}
     smin = {theta[0] for theta in classes}
     if lam:
@@ -166,25 +184,42 @@ def _class_index(cp: ClassPartition) -> _ClassIndex:
             smax.discard(lam[0])
         else:
             bottom = classes[0]
-            if bottom[-1] == lam[len(lam) - 1] and bottom[-1] in s0:
+            if bottom[-1] == lam[-1] and bottom[-1] in cp.S0:
                 smin.discard(bottom[-1])
-    weight = {a: (a in smax) - (a in smin) for a in smax | smin}
-    values = [a for a in sorted(weight) if weight[a]]
+    s2 = 2 * cp.gt.s
     m_off, m_on = (-2, 0) if cp.gt.s == 1 else (1, -1)
+    S = cp.S
+    bit = {}
+    X, rows = [], []
+    plus = minus = s0 = 0
+    # lam is of good parity, so S descending lists the values of its runs
+    for j in reversed(range(len(S))):
+        a = S[j]
+        b = bit[a] = 1 << j
+        i = len(rows) + 1
+        r = lam.count(a)
+        X.append(i)
+        w = (a in smax) - (a in smin)
+        if w > 0:
+            plus |= b
+        elif w < 0:
+            minus |= b
+        if r % 2:
+            s0 |= b
+        m = m_on if a in smin else m_off
+        lo, hi = a // 2, (a + 1) // 2
+        # odd i: gtilde_i = floor(a/2), ebar(i) = +1 off eps;
+        # even i: gtilde_i = ceil(a/2), ebar(i) = +1 on eps
+        odd = (b, (lo, -s2, True, 0), (lo - m, s2, False, 0))
+        even = (b, (hi, s2, False, 0), (hi + m, -s2, True, 0))
+        this, other = (odd, even) if i % 2 else (even, odd)
+        # the run's value leaves D_eps at its first index; from there the
+        # parity of i alternates
+        rows.append((b, this[1], (*this[2][:3], w)))
+        rows += ((other, this) * r)[: r - 1]
     return _ClassIndex(
-        base=cp,
-        X=tuple(sorted(first.values())),
-        S_max=frozenset(smax),
-        S_min=frozenset(smin),
-        S0=s0,
-        rtable=tuple((a, weight[a]) for a in values),
-        low=tuple(
-            bisect_left(values, hi) for hi in ((lam[0] + 1 if lam else 1), *lam)
-        ),
-        gtilde=tuple(a // 2 if i % 2 else (a + 1) // 2 for i, a in enumerate(lam, 1)),
-        shift=tuple(
-            (m_on if a in smin else m_off) * (-1) ** i for i, a in enumerate(lam, 1)
-        ),
+        cp, tuple(X), frozenset(smax), frozenset(smin), frozenset(cp.S0),
+        bit, plus, minus, s0, tuple(rows),
     )
 
 
@@ -244,18 +279,21 @@ def defect(sd: SpringerIndexData, i: int) -> int:
 
 
 def _defects(ci: _ClassIndex, sub) -> list[int]:
-    """[D_eps(0), ..., D_eps(ell)], the one computation of the defect.
+    """[D_eps(0), ..., D_eps(ell)].
 
-    Read off the class's ascending value table: D_eps(i) sums the
-    weights of the eps-values among the first ``low[i]`` entries.
+    D_eps(0) weighs every eps-value in S_max and S_min.  Going down lam,
+    each one leaves the sum at the first index of its run, from where on
+    it is no longer below lam_i.  :func:`_gamma_core` takes the same
+    steps along its pass.
     """
-    below = [0]
-    acc = 0
-    for a, w in ci.rtable:
-        if a in sub:
-            acc += w
-        below.append(acc)
-    return [below[k] for k in ci.low]
+    mask = ci.mask(sub)
+    d = ci.defect0(mask)
+    out = [d]
+    for b, _, on in ci.rows:
+        if mask & b:
+            d -= on[3]
+        out.append(d)
+    return out
 
 
 def is_springer_type(sd: SpringerIndexData) -> bool:
@@ -299,53 +337,61 @@ def _gamma_core(ci: _ClassIndex, sub):
     """(epsbar, e_plus, e_minus, gamma) of the character of P(lam)_0 with
     subset sub, or None when it is not of Springer type (D_eps(0) != 0).
 
-    Raises MalformedOutput when gamma fails nonnegativity, fails weak
-    decrease along either sign class, or carries a zero entry violating
-    the zero-part constraints -- all of which indicate a bug, never bad
-    input.
+    One pass down lam builds all four, D_eps(i) along with them.  Raises
+    MalformedOutput when a gamma_i is negative, carries a zero entry
+    violating the zero-part constraints, or exceeds the entry before it
+    of its sign -- all of which indicate a bug, never bad input.
     """
-    cp = ci.base
-    defects = _defects(ci, sub)
-    if defects[0]:
+    mask = ci.mask(sub)
+    d = ci.defect0(mask)
+    if d:
         return None
-    ebar, e_plus, e_minus = _signs(cp.lam, sub)
-    s2 = 2 * cp.gt.s
-    out = []
-    for i, (a, e, d, g, m) in enumerate(
-        zip(cp.lam, ebar, defects[1:], ci.gtilde, ci.shift), 1
-    ):
-        g -= s2 * e * d
-        if a in sub:
-            g += m
+    ebar, e_plus, e_minus, out = [], [], [], []
+    last_plus = last_minus = math.inf
+    for i, (b, off, on) in enumerate(ci.rows, 1):
+        g, c, plus, w = on if mask & b else off
+        d -= w
+        g += c * d
         if g < 0:
-            raise MalformedOutput(f"gamma_{i} = {g} < 0 for {CharFn(cp, sub)!r}")
+            raise MalformedOutput(f"gamma_{i} = {g} < 0 for {CharFn(ci.base, sub)!r}")
         if g == 0 and -1 <= d <= 1:
-            _zero_gate(ci, sub, i, a, d)
+            _zero_gate(ci, sub, i, ci.base.lam[i - 1], d)
+        if plus:
+            if g > last_plus:
+                raise MalformedOutput(
+                    f"gamma not weakly decreasing along e_plus at {i} for {CharFn(ci.base, sub)!r}"
+                )
+            last_plus = g
+            ebar.append(1)
+            e_plus.append(i)
+        else:
+            if g > last_minus:
+                raise MalformedOutput(
+                    f"gamma not weakly decreasing along e_minus at {i} for {CharFn(ci.base, sub)!r}"
+                )
+            last_minus = g
+            ebar.append(-1)
+            e_minus.append(i)
         out.append(g)
-    for idx in (e_plus, e_minus):
-        run = [out[i - 1] for i in idx]
-        if run != sorted(run, reverse=True):
-            raise MalformedOutput(
-                f"gamma not weakly decreasing along {tuple(idx)} for {CharFn(cp, sub)!r}"
-            )
     return ebar, e_plus, e_minus, tuple(out)
 
 
 def gamma_seq(sd: SpringerIndexData) -> tuple[int, ...]:
     """The gamma-sequence of (lam, eps), zero entries retained.
 
-    Raises NotSpringerType unless D_eps(0) = 0, ValueError outside
-    P(lam)_0, and MalformedOutput when the output fails one of the
+    Raises ValueError outside P(lam)_0, then NotSpringerType unless
+    D_eps(0) = 0, and MalformedOutput when the output fails one of the
     self-checks of :func:`_gamma_core`.
     """
-    core = _gamma_core(_class_index(sd.base), sd.eps.subset) if sd.eps.in_P0 else None
-    if core is None:
-        d0 = defect(sd, 0)
-        if d0:
-            raise NotSpringerType(f"D_eps(0) = {d0} != 0 for {sd.eps!r}")
+    if not sd.eps.in_P0:
         raise ValueError(
             f"{sd.eps!r} lies outside P(lam)_0; gamma is derived there"
         )
+    ci = _class_index(sd.base)
+    core = _gamma_core(ci, sd.eps.subset)
+    if core is None:
+        d0 = _defects(ci, sd.eps.subset)[0]
+        raise NotSpringerType(f"D_eps(0) = {d0} != 0 for {sd.eps!r}")
     return core[3]
 
 
@@ -382,52 +428,75 @@ class GreenTableau:
         }
 
 
-def _walk_tableaux(ebar, e_plus, e_minus, gam, delta, tau, leaf) -> None:
+def _walk_tableaux(e_plus, gam, delta, tau, leaf) -> None:
     """Walk R(lam, eps, delta, tau) depth-first, +1 branch first.
 
     ``leaf(rows, alpha, beta)`` sees every finished tableau: its rows and
     the gamma sums along the rows that start on the +1 and on the -1
     side.  The lists are the walker's own and change after ``leaf``
     returns.
+
+    Each pool of unused indices is an int bitmask, index i at bit i - 1,
+    so the minimal unused index above k is the lowest set bit of
+    ``pool >> k << k``.  The indices 1..len(gam) outside e_plus make up
+    the -1 pool, and a row alternates between the two pools.  The walk
+    is a loop; a fork pushes the pools, the start sum and the depth its
+    -1 branch resumes from, and copies nothing.
     """
+    pool_p = sum(map((1).__lshift__, e_plus)) >> 1
+    pool_m = ((1 << len(gam)) - 1) ^ pool_p
+    start_sum = 0
     rows: list[list[int]] = []
     alpha: list[int] = []
     beta: list[int] = []
-
-    def expand(pool_p, pool_m, start_sum):
-        if not pool_p and not pool_m:
+    forks = []
+    while True:
+        if not (pool_p or pool_m):
             leaf(rows, alpha, beta)
-            return
-        need = delta - start_sum
-        starts = []
-        if pool_p and (not pool_m or gam[pool_p[0] - 1] >= -need):
-            starts.append(1)
-        if pool_m and (not pool_p or gam[pool_m[0] - 1] >= need):
-            starts.append(-1)
-        if not starts:
-            raise MalformedOutput("no admissible row start")
-        for u in starts:
-            # the last branch may use up this call's own pools
-            pp, pm = (pool_p, pool_m) if u == starts[-1] else (pool_p[:], pool_m[:])
-            k = (pp if u == 1 else pm).pop(0)
-            row = [k]
-            total = gam[k - 1]
-            while True:
-                pool = pm if ebar[k - 1] == 1 else pp
-                j = bisect_right(pool, k)
-                if j == len(pool):
-                    break
-                k = pool.pop(j)
-                row.append(k)
-                total += gam[k - 1]
-            side = alpha if u == 1 else beta
-            rows.append(row)
-            side.append(total)
-            expand(pp, pm, start_sum + tau * u)
-            rows.pop()
-            side.pop()
-
-    expand(list(e_plus), list(e_minus), 0)
+            if not forks:
+                return
+            pool_p, pool_m, start_sum, depth, plus_rows = forks.pop()
+            del rows[depth:], alpha[plus_rows:], beta[depth - plus_rows:]
+            u = -1
+        elif not pool_m:
+            u = 1
+        elif not pool_p:
+            u = -1
+        else:
+            # the minimal unused index of each sign starts a row when its
+            # gamma reaches -u (delta - start_sum)
+            need = delta - start_sum
+            start_p = gam[(pool_p & -pool_p).bit_length() - 1] >= -need
+            start_m = gam[(pool_m & -pool_m).bit_length() - 1] >= need
+            if start_p:
+                if start_m:
+                    forks.append((pool_p, pool_m, start_sum, len(rows), len(alpha)))
+                u = 1
+            elif start_m:
+                u = -1
+            else:
+                raise MalformedOutput("no admissible row start")
+        mine, other = (pool_p, pool_m) if u == 1 else (pool_m, pool_p)
+        b = mine & -mine
+        mine ^= b
+        k = b.bit_length()
+        row = [k]
+        total = gam[k - 1]
+        sign = u
+        while True:
+            above = other >> k << k
+            if not above:
+                break
+            b = above & -above
+            other ^= b
+            k = b.bit_length()
+            row.append(k)
+            total += gam[k - 1]
+            mine, other, sign = other, mine, -sign
+        pool_p, pool_m = (mine, other) if sign == 1 else (other, mine)
+        rows.append(row)
+        (alpha if u == 1 else beta).append(total)
+        start_sum += tau * u
 
 
 def green_tableaux(
@@ -448,12 +517,13 @@ def green_tableaux(
             )
         )
 
-    _walk_tableaux(sd.epsbar, sd.e_plus, sd.e_minus, gamma_seq(sd), delta, tau, close)
+    _walk_tableaux(sd.e_plus, gamma_seq(sd), delta, tau, close)
     return out
 
 
 def p_set(sd: SpringerIndexData, delta: int, tau: int) -> set[Bipartition]:
-    """P(lam, eps, delta, tau), deduplicated; empty off Springer type."""
+    """P(lam, eps, delta, tau), deduplicated; empty off Springer type,
+    ValueError outside P(lam)_0."""
     try:
         return {t.bipartition for t in green_tableaux(sd, delta, tau)}
     except NotSpringerType:
@@ -503,6 +573,7 @@ def weakly_spherical(sd: SpringerIndexData) -> bool:
 
     Decided through P(lam, eps, Delta_G, tau_G) meeting the E^s family;
     characters off Springer type head an empty P-set and answer False.
+    Raises ValueError outside P(lam)_0, as :func:`gamma_seq` does.
     """
     if sd.base.bp:
         raise BadParity(f"{sd.lam!r} is not of pure good parity")
@@ -511,7 +582,7 @@ def weakly_spherical(sd: SpringerIndexData) -> bool:
         gam = gamma_seq(sd)
     except NotSpringerType:
         return False
-    _, pairs = _tableau_summary(sd.epsbar, sd.e_plus, sd.e_minus, gam, *delta_tau(gt))
+    _, pairs = _tableau_summary(sd.e_plus, gam, *delta_tau(gt))
     return not _e_pairs(gt).isdisjoint(pairs)
 
 
@@ -520,7 +591,7 @@ def _parts(values) -> tuple[int, ...]:
     return tuple(sorted(filter(None, values), reverse=True))
 
 
-def _tableau_summary(ebar, e_plus, e_minus, gam, delta, tau):
+def _tableau_summary(e_plus, gam, delta, tau):
     """The set of first rows of R(lam, eps, delta, tau) and the distinct
     (alpha, beta) parts pairs of P(lam, eps, delta, tau), in walk order."""
     first_rows = set()
@@ -531,7 +602,7 @@ def _tableau_summary(ebar, e_plus, e_minus, gam, delta, tau):
         first_rows.add(tuple(rows[0]) if rows else ())
         pairs[_parts(alpha), _parts(beta)] = None
 
-    _walk_tableaux(ebar, e_plus, e_minus, gam, delta, tau, leaf)
+    _walk_tableaux(e_plus, gam, delta, tau, leaf)
     return first_rows, tuple(pairs)
 
 
@@ -560,13 +631,15 @@ def character_sweep(cp: ClassPartition):
     delta, tau = delta_tau(cp.gt)
     family = _e_pairs(cp.gt)
     for sub in _subsets_in_order(cp.S):
-        if not _meets_evenly(sub, cp.S0):
+        # P(lam)_0: sub meets S_0(lam) evenly
+        if (ci.mask(sub) & ci.s0).bit_count() % 2:
             continue
         core = _gamma_core(ci, sub)
         if core is None:
             yield sub, None, None, False
             continue
-        first_rows, pairs = _tableau_summary(*core, delta, tau)
+        _, e_plus, _, gam = core
+        first_rows, pairs = _tableau_summary(e_plus, gam, delta, tau)
         yield sub, first_rows, pairs, not family.isdisjoint(pairs)
 
 

@@ -151,4 +151,6 @@ def _run(argv) -> tuple[str, str, int]:
 
 def test_cli_output_is_unchanged():
     changed = [argv for argv, *want in GOLDEN if _run(argv.split()) != tuple(want)]
-    assert changed == []
+    # raised, not asserted, so that the check also fails under python -O
+    if changed:
+        raise AssertionError(changed)

@@ -1,5 +1,6 @@
 import pytest
 
+import upkit.springer
 from upkit.components import (
     CharFn,
     block_structure,
@@ -172,10 +173,11 @@ def _ref_defects(d):
 
 
 def _ref_gamma_seq(d):
-    if _ref_defects(d)[0] != 0:
-        raise NotSpringerType("not of Springer type")
+    # P(lam)_0 first: outside it gamma is undefined, Springer type or not
     if not d.eps.in_P0:
         raise ValueError("outside P(lam)_0")
+    if _ref_defects(d)[0] != 0:
+        raise NotSpringerType("not of Springer type")
     s = d.s
     m_off, m_on = (-2, 0) if s == 1 else (1, -1)
     ind = d.eps.indicator
@@ -307,6 +309,44 @@ def test_sweep_matches_per_character_path():
         next(character_sweep(B("3,2,2")))
 
 
+def _patch_result(monkeypatch, name, edit):
+    """Replace upkit.springer.<name> by a wrapper that edits its result."""
+    real = getattr(upkit.springer, name)
+    monkeypatch.setattr(upkit.springer, name, lambda *args: edit(real(*args)))
+
+
+def _set_gtilde(ci, i, value):
+    """ci with gtilde_i replaced by value, whether eps(lam_i) is 0 or 1."""
+    rows = list(ci.rows)
+    b, off, on = rows[i - 1]
+    rows[i - 1] = (b, (value, *off[1:]), (value, *on[1:]))
+    return ci._replace(rows=tuple(rows))
+
+
+def test_sweep_raises_on_negative_gamma(monkeypatch):
+    _patch_result(monkeypatch, "_class_index", lambda ci: _set_gtilde(ci, 1, -5))
+    with pytest.raises(MalformedOutput, match="gamma_1 = -5 < 0"):
+        list(character_sweep(B("5,3,1")))
+
+
+def test_sweep_raises_when_gamma_rises_along_a_sign(monkeypatch):
+    # the trivial character of B 5,3,1 has gamma (2,2,0) and e_plus (1,3)
+    _patch_result(monkeypatch, "_class_index", lambda ci: _set_gtilde(ci, 3, 9))
+    with pytest.raises(MalformedOutput, match="weakly decreasing along e_plus at 3"):
+        list(character_sweep(B("5,3,1")))
+
+
+def test_sweep_raises_without_an_admissible_row_start(monkeypatch):
+    # negative gammas past the gamma gates: neither minimal index can
+    # start the first row while both pools are nonempty
+    def sink(core):
+        return core and (*core[:3], tuple(-100 for _ in core[3]))
+
+    _patch_result(monkeypatch, "_gamma_core", sink)
+    with pytest.raises(MalformedOutput, match="no admissible row start"):
+        list(character_sweep(B("5,3,1")))
+
+
 # ----------------------------------------------------------------- defect
 
 def test_defect_examples():
@@ -363,6 +403,17 @@ def test_gamma_validation():
         gamma_seq(sd(C("4,2,2"), 2, 4))
 
 
+def test_outside_P0_raises_before_springer_type():
+    # {1} on B 5,3,1 is off Springer type and {2,4} on C 4,2,2 is of it;
+    # both meet S_0 once, so both are refused as outside P(lam)_0
+    for d in (sd(B("5,3,1"), 1), sd(C("4,2,2"), 2, 4)):
+        assert not d.eps.in_P0
+        with pytest.raises(ValueError):
+            gamma_seq(d)
+        with pytest.raises(ValueError):
+            weakly_spherical(d)
+
+
 # ------------------------------------------------- the bipartition sigma
 
 @pytest.mark.parametrize("n", range(7))
@@ -392,6 +443,10 @@ def test_bipartition_small_cases():
 
 def test_bipartition_not_springer_raises():
     with pytest.raises(NotSpringerType):
+        springer_bipartition(sd(B("5,3,1"), 1, 5))
+    # {2} on C 2 is off Springer type and outside P(lam)_0; P(lam)_0 is
+    # tested first
+    with pytest.raises(ValueError):
         springer_bipartition(sd(C("2"), 2))
 
 
@@ -441,6 +496,17 @@ def test_tableau_branching():
     ts = green_tableaux(d, *delta_tau(d.base.gt))
     assert {t.rows for t in ts} == {((2,), (3,), (1,)), ((2,), (1, 3))}
     assert {t.bipartition for t in ts} == {bip("[|4]")}
+
+
+def test_smallest_forking_walk():
+    # B 3,3,1 at (+-) forks at its second row start, +1 branch first.
+    # Both tableaux share their first row and their pair, so the sweep
+    # cannot see a dropped branch; only the tableaux can.
+    cp = B("3,3,1")
+    d = springer_data(cp, CharFn.from_text(cp, "(+-)"))
+    ts = green_tableaux(d, *delta_tau(cp.gt))
+    assert [t.rows for t in ts] == [((2,), (3,), (1,)), ((2,), (1, 3))]
+    assert len({(t.rows[0], t.bipartition) for t in ts}) == 1
 
 
 def test_tableau_validation():
