@@ -309,7 +309,10 @@ def cmd_verify(args) -> int:
         # imported here, so that a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool may start all its workers at once, so start no more than
+        # there are cells to run and cores to run them on
+        workers = min(args.jobs, len(cells), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             try:
                 emit_each(pool.map(_verify_cell, cells))
             except BrokenPipeError:

@@ -103,10 +103,6 @@ class CharFn:
     def in_P0(self) -> bool:
         return _meets_evenly(self.subset, self.base.S0)
 
-    @property
-    def in_Pprime(self) -> bool:
-        return len(self.subset) % 2 == 0
-
     def __repr__(self) -> str:
         return f"CharFn({sorted(self.subset)} on {self.base.lam!r})"
 
@@ -134,16 +130,6 @@ class BlockStructure:
     @property
     def special(self) -> bool:
         return not self.I_set
-
-    def outside(self) -> Partition:
-        """lam with all blocks removed: bad-parity values missed by every
-        block, each with even multiplicity."""
-        return difference(self.cp.lam, union(*self.blocks) if self.blocks else Partition())
-
-    def sharp(self) -> Partition:
-        """Half of :meth:`outside` (one copy of each pair)."""
-        out = self.outside()
-        return Partition(v for v in out.supp for _ in range(out.mult(v) // 2))
 
 
 # The bound on every class-keyed cache.  It holds every class of the runs

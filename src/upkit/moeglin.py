@@ -24,13 +24,10 @@ is read off the parameter by
 
 when l(i) < b_i/2, and gamma(i) alone when l(i) = b_i/2.
 
-Moves between packets: adjacent entries (a, 1), (a + 2, 1) carrying
+The move between packets: adjacent entries (a, 1), (a + 2, 1) carrying
 opposite signs merge into (a + 1, 2), transporting l = 0 and the lower
-sign (the only move that transports the parameter); the remaining
-union-intersection moves and the phantom operation at the bottom entry
-report target tables only.  Everything is restricted to near-tempered
-tables (b in {1, 2} on good entries), the regime where the formulas
-above are closed-form.
+sign.  Everything is restricted to near-tempered tables (b in {1, 2}
+on good entries), the regime where the formulas above are closed-form.
 """
 
 from __future__ import annotations
@@ -50,7 +47,6 @@ __all__ = [
     "TableChar",
     "MoeglinParam",
     "AdmissibleOrder",
-    "MoveDescriptor",
     "table_support",
     "table_support_mf",
     "standard_order",
@@ -59,7 +55,6 @@ __all__ = [
     "gamma",
     "arthur_character",
     "merge_move",
-    "applicable_moves",
     "tempered_intersection",
     "moeglin_param_of_tempered",
     "merge_chain",
@@ -353,79 +348,6 @@ def merge_move(ao: AdmissibleOrder, mp: MoeglinParam, k: int):
     l = [(old2new[i], v) for i, v in mp.l if i not in removed] + [(star, 0)]
     eta = [(old2new[i], v) for i, v in mp.eta if i not in removed] + [(star, eta_left)]
     return table, order, MoeglinParam(table, tuple(l), tuple(eta))
-
-
-@dataclass(frozen=True)
-class MoveDescriptor:
-    """One applicable move: its kind, slot, and target table(s).
-
-    Only "merge" transports the parameter (in ``merged``); the other
-    kinds -- "ui2"/"ui3"/"ui4" for the remaining union-intersection
-    cases and "phantom" for the bottom-entry operation -- report tables.
-    """
-
-    kind: str
-    k: int
-    targets: tuple[ATable, ...]
-    merged: tuple | None = None
-
-
-def applicable_moves(ao: AdmissibleOrder, mp: MoeglinParam) -> list[MoveDescriptor]:
-    """All moves the parameter admits, scanned slot by slot."""
-    m = ao.table
-    if mp.table != m:
-        raise ValueError("order and parameter live on different tables")
-    if not m.near_tempered():
-        raise ValueError("moves are classified for near-tempered tables only")
-    moves = []
-    t = len(ao.order)
-    for k in range(0 if m.gt.s == -1 else 1, t):
-        try:
-            merged = merge_move(ao, mp, k)
-        except MoveNotApplicable:
-            pass
-        else:
-            moves.append(MoveDescriptor("merge", k, (merged[0],), merged))
-        if k == 0:
-            continue
-        i, j = ao.order[k - 1], ao.order[k]
-        (a1, b1), (a2, b2) = m.entries[i], m.entries[j]
-        l1, l2 = mp.l_of(i), mp.l_of(j)
-        eta1 = mp.eta_of(i) if 2 * l1 < b1 else 0
-        eta2 = mp.eta_of(j) if 2 * l2 < b2 else 0
-        if a2 - a1 == 2 and b1 == b2 == 2 and l1 + l2 == 1:
-            tbl, _, _ = _replace_entries(m, {i, j}, [(a1 + 1, 3), (a1 + 1, 1)])
-            moves.append(MoveDescriptor("ui2", k, (tbl,)))
-        if a2 - a1 == 3 and l1 == l2 == 0 and eta2 == (-1) ** b1 * eta1 != 0:
-            tbl, _, _ = _replace_entries(m, {i, j}, [((a1 + a2 + b2 - b1) // 2, 3)])
-            moves.append(MoveDescriptor("ui3", k, (tbl,)))
-        if a2 - a1 == 4 and b1 == b2 == 2 and l1 == l2 == 0 and eta1 == eta2 != 0:
-            tbl, _, _ = _replace_entries(m, {i, j}, [(a1 + 2, 4)])
-            moves.append(MoveDescriptor("ui4", k, (tbl,)))
-    if t:
-        e = ao.order[0]
-        a, b = m.entries[e]
-        beta, d = a - b, min(a, b)
-        le = mp.l_of(e)
-        ee = mp.eta_of(e) if 2 * le < b else 0
-        fire = (
-            (beta == 0 and le == 0)
-            or (beta == 1 and le == 0 and ee == -1)
-            or (beta == -1 and le == 1 and ee == -1)
-        )
-        if d > 1 and fire:
-            targets = []
-            for c in range(1, d):
-                if beta == 0:
-                    pair = [(c, c), (d - c, d + c)]
-                elif beta == 1:
-                    pair = [(c + 1, c), (d - c, d + c + 1)]
-                else:
-                    pair = [(c, c + 1), (d - c, d + c + 1)]
-                tbl, _, _ = _replace_entries(m, {e}, pair)
-                targets.append(tbl)
-            moves.append(MoveDescriptor("phantom", 1, tuple(targets)))
-    return moves
 
 
 def tempered_intersection(cp: ClassPartition, z: int, J) -> tuple[CharFn, ...]:

@@ -131,11 +131,6 @@ class InfChar:
         if Counter(eigen) != Counter(-j for j in eigen):
             raise ValueError("eigenvalue multiset is not symmetric under j -> -j")
 
-    def integral(self) -> bool:
-        """True when every exponent j/2 is a (rational) integer, i.e. all
-        stored doubles are even."""
-        return all(j % 2 == 0 for j in self.eigen)
-
     def to_json(self) -> dict:
         return {"z": self.z, "eigen": list(self.eigen)}
 

@@ -146,10 +146,6 @@ class Partition(tuple):
         """The sub-multiset of parts c with a <= c <= b (lam_{a<->b})."""
         return Partition(p for p in self if a <= p <= b)
 
-    def mf(self):
-        """The multiplicity-free part: values of odd multiplicity, once each."""
-        return Partition(v for v in self.supp if self.mult(v) % 2 == 1)
-
     def transpose(self):
         """The conjugate partition."""
         if not self:

@@ -120,21 +120,6 @@ class SpringerIndexData:
         """epsbar(i) for 0 <= i <= ell, with the ebar(0) := -1 convention."""
         return -1 if i == 0 else self.epsbar[i - 1]
 
-    @property
-    def X_plus(self) -> tuple[int, ...]:
-        """X^{+1}: the even members of X."""
-        return tuple(i for i in self.X if i % 2 == 0)
-
-    @property
-    def X_minus(self) -> tuple[int, ...]:
-        """X^{-1}: the odd members of X."""
-        return tuple(i for i in self.X if i % 2 == 1)
-
-    @property
-    def X_group(self) -> tuple[int, ...]:
-        """X^{s} for the group's own sign s."""
-        return self.X_plus if self.s == 1 else self.X_minus
-
 
 class _ClassIndex(NamedTuple):
     """The part of the index data that depends on lam alone.
@@ -334,10 +319,11 @@ def _zero_gate(ci: _ClassIndex, sub, i: int, a: int, d: int) -> None:
 
 
 def _gamma_core(ci: _ClassIndex, sub):
-    """(epsbar, e_plus, e_minus, gamma) of the character of P(lam)_0 with
-    subset sub, or None when it is not of Springer type (D_eps(0) != 0).
+    """(e_plus, gamma) of the character of P(lam)_0 with subset sub, or
+    None when it is not of Springer type (D_eps(0) != 0); e_plus is a
+    bitmask, index i at bit i - 1.
 
-    One pass down lam builds all four, D_eps(i) along with them.  Raises
+    One pass down lam builds both, D_eps(i) along with them.  Raises
     MalformedOutput when a gamma_i is negative, carries a zero entry
     violating the zero-part constraints, or exceeds the entry before it
     of its sign -- all of which indicate a bug, never bad input.
@@ -346,7 +332,7 @@ def _gamma_core(ci: _ClassIndex, sub):
     d = ci.defect0(mask)
     if d:
         return None
-    ebar, e_plus, e_minus, out = [], [], [], []
+    e_plus, out = 0, []
     last_plus = last_minus = math.inf
     for i, (b, off, on) in enumerate(ci.rows, 1):
         g, c, plus, w = on if mask & b else off
@@ -362,18 +348,15 @@ def _gamma_core(ci: _ClassIndex, sub):
                     f"gamma not weakly decreasing along e_plus at {i} for {CharFn(ci.base, sub)!r}"
                 )
             last_plus = g
-            ebar.append(1)
-            e_plus.append(i)
+            e_plus |= 1 << (i - 1)
         else:
             if g > last_minus:
                 raise MalformedOutput(
                     f"gamma not weakly decreasing along e_minus at {i} for {CharFn(ci.base, sub)!r}"
                 )
             last_minus = g
-            ebar.append(-1)
-            e_minus.append(i)
         out.append(g)
-    return ebar, e_plus, e_minus, tuple(out)
+    return e_plus, tuple(out)
 
 
 def gamma_seq(sd: SpringerIndexData) -> tuple[int, ...]:
@@ -383,6 +366,11 @@ def gamma_seq(sd: SpringerIndexData) -> tuple[int, ...]:
     D_eps(0) = 0, and MalformedOutput when the output fails one of the
     self-checks of :func:`_gamma_core`.
     """
+    return _checked_core(sd)[1]
+
+
+def _checked_core(sd: SpringerIndexData):
+    """:func:`_gamma_core` of (lam, eps), raising as :func:`gamma_seq` does."""
     if not sd.eps.in_P0:
         raise ValueError(
             f"{sd.eps!r} lies outside P(lam)_0; gamma is derived there"
@@ -392,7 +380,7 @@ def gamma_seq(sd: SpringerIndexData) -> tuple[int, ...]:
     if core is None:
         d0 = _defects(ci, sd.eps.subset)[0]
         raise NotSpringerType(f"D_eps(0) = {d0} != 0 for {sd.eps!r}")
-    return core[3]
+    return core
 
 
 def springer_bipartition(sd: SpringerIndexData) -> Bipartition:
@@ -438,13 +426,14 @@ def _walk_tableaux(e_plus, gam, delta, tau, leaf) -> None:
 
     Each pool of unused indices is an int bitmask, index i at bit i - 1,
     so the minimal unused index above k is the lowest set bit of
-    ``pool >> k << k``.  The indices 1..len(gam) outside e_plus make up
-    the -1 pool, and a row alternates between the two pools.  The walk
-    is a loop; a fork pushes the pools, the start sum and the depth its
-    -1 branch resumes from, and copies nothing.
+    ``pool >> k << k``.  ``e_plus`` is the +1 pool, as :func:`_gamma_core`
+    gives it; the other indices 1..len(gam) make up the -1 pool, and a
+    row alternates between the two pools.  The walk is a loop; a fork
+    pushes the pools, the start sum and the depth its -1 branch resumes
+    from, and copies nothing.
     """
-    pool_p = sum(map((1).__lshift__, e_plus)) >> 1
-    pool_m = ((1 << len(gam)) - 1) ^ pool_p
+    pool_p = e_plus
+    pool_m = ((1 << len(gam)) - 1) ^ e_plus
     start_sum = 0
     rows: list[list[int]] = []
     alpha: list[int] = []
@@ -517,7 +506,7 @@ def green_tableaux(
             )
         )
 
-    _walk_tableaux(sd.e_plus, gamma_seq(sd), delta, tau, close)
+    _walk_tableaux(*_checked_core(sd), delta, tau, close)
     return out
 
 
@@ -579,10 +568,10 @@ def weakly_spherical(sd: SpringerIndexData) -> bool:
         raise BadParity(f"{sd.lam!r} is not of pure good parity")
     gt = sd.base.gt
     try:
-        gam = gamma_seq(sd)
+        e_plus, gam = _checked_core(sd)
     except NotSpringerType:
         return False
-    _, pairs = _tableau_summary(sd.e_plus, gam, *delta_tau(gt))
+    _, pairs = _tableau_summary(e_plus, gam, *delta_tau(gt))
     return not _e_pairs(gt).isdisjoint(pairs)
 
 
@@ -638,8 +627,7 @@ def character_sweep(cp: ClassPartition):
         if core is None:
             yield sub, None, None, False
             continue
-        _, e_plus, _, gam = core
-        first_rows, pairs = _tableau_summary(e_plus, gam, delta, tau)
+        first_rows, pairs = _tableau_summary(*core, delta, tau)
         yield sub, first_rows, pairs, not family.isdisjoint(pairs)
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import json
 import os
@@ -673,6 +674,34 @@ def test_verify_jobs_match_serial(capsys):
         capsys, "verify", "--suite", "spc", "--maxN", "8", "--jobs", "2"
     )
     assert serial == parallel
+
+
+@pytest.mark.parametrize("cores,workers", [(64, 8), (3, 3), (None, 1)])
+def test_verify_jobs_capped_by_cells_and_cores(capsys, monkeypatch, cores, workers):
+    # a pool that records its size and maps in this process: no process
+    # starts, whatever --jobs asks for
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    _, serial = run(capsys, "verify", "--suite", "all", "--maxN", "1")
+    _, pooled = run(capsys, "verify", "--suite", "all", "--maxN", "1", "--jobs", "100000")
+    assert len(serial) == 8 + 1  # six suites at N = 1, oracle at n = 0 and 1
+    assert sizes == [workers]
+    assert pooled == serial
 
 
 def test_verify_cap(capsys, monkeypatch):

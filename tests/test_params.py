@@ -110,11 +110,9 @@ def test_l_param_validation():
 def test_inf_char_fixture():
     chi = chi_z_lambda(B("5,3,1"))
     assert chi.eigen == (4, 2, 2, 0, 0, 0, -2, -2, -4)
-    assert chi.integral()
     assert chi.to_json() == {"z": 1, "eigen": [4, 2, 2, 0, 0, 0, -2, -2, -4]}
     half = inf_char(LParam(1, ((1, 1), (-1, 1))))
     assert half.eigen == (1, -1)
-    assert not half.integral()
 
 
 def test_inf_char_constant_on_weak_packet():

@@ -66,7 +66,6 @@ def test_basic_accessors():
     assert lam.mult(3) == 3 and lam.mult(2) == 0
     assert lam.supp == (1, 3, 5, 7)
     assert lam.interval(3, 5).parts == (5, 3, 3, 3)
-    assert lam.mf().parts == (5, 3, 1)
 
 
 def test_transpose():
