@@ -95,10 +95,6 @@ class CharFn:
         """(-1)^eps(c)."""
         return -1 if c in self.subset else 1
 
-    def pair(self, other: "CharFn") -> int:
-        """The component-group pairing (-1)^|A cap B|."""
-        return -1 if len(self.subset & other.subset) % 2 else 1
-
     @property
     def in_P0(self) -> bool:
         return _meets_evenly(self.subset, self.base.S0)

@@ -32,12 +32,14 @@ on good entries), the regime where the formulas above are closed-form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import prod
+from operator import index
 
-from .components import CharFn, _within_J, char_group, t_character
+from .components import CharFn, char_group, t_character
 from .errors import BoundExceeded, MalformedOutput, MoveNotApplicable
 from .params import ATable, _check_z, near_tempered_table, tempered_table
 from .partitions import ClassPartition
@@ -47,8 +49,6 @@ __all__ = [
     "TableChar",
     "MoeglinParam",
     "AdmissibleOrder",
-    "table_support",
-    "table_support_mf",
     "standard_order",
     "moeglin_params",
     "admissible_orders",
@@ -57,6 +57,7 @@ __all__ = [
     "merge_move",
     "tempered_intersection",
     "moeglin_param_of_tempered",
+    "merge_chains",
     "merge_chain",
 ]
 
@@ -64,17 +65,6 @@ PHANTOM = -1
 PARAM_BOUND = 12
 ORDER_BOUND = 9
 _PARAM_CAP = 2_000_000
-
-
-def table_support(m: ATable) -> tuple[tuple[int, int], ...]:
-    """S(m): the distinct good-parity entries, sorted."""
-    return tuple(sorted({m.entries[i] for i in m.gp_indices()}))
-
-
-def table_support_mf(m: ATable) -> tuple[tuple[int, int], ...]:
-    """S(m^mf): the good-parity entries of odd multiplicity."""
-    counts = Counter(m.entries[i] for i in m.gp_indices())
-    return tuple(sorted(e for e, c in counts.items() if c % 2))
 
 
 @dataclass(frozen=True)
@@ -86,7 +76,7 @@ class TableChar:
 
     def __post_init__(self) -> None:
         subset = frozenset(tuple(e) for e in self.subset)
-        extra = subset - set(table_support(self.table))
+        extra = subset.difference(self.table.support)
         if extra:
             raise ValueError(f"entries {sorted(extra)} not in S(m)")
         object.__setattr__(self, "subset", subset)
@@ -99,7 +89,7 @@ class TableChar:
 
     @property
     def in_P0(self) -> bool:
-        return len(self.subset & set(table_support_mf(self.table))) % 2 == 0
+        return len(self.subset.intersection(self.table.support_mf)) % 2 == 0
 
 
 @dataclass(frozen=True)
@@ -107,7 +97,8 @@ class MoeglinParam:
     """A pair (l, eta) in W(m), stored as sorted (index, value) pairs.
 
     The phantom index -1 is never stored; l_of/eta_of answer for it with
-    the pinned values when the table has s = -1.
+    the pinned values when the table has s = -1.  They read maps built
+    once per parameter, kept out of the fields.
     """
 
     table: ATable
@@ -115,32 +106,40 @@ class MoeglinParam:
     eta: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        l = tuple(sorted((int(i), int(v)) for i, v in self.l))
-        eta = tuple(sorted((int(i), int(v)) for i, v in self.eta))
+        l = tuple(sorted([(index(i), index(v)) for i, v in self.l]))
+        eta = tuple(sorted([(index(i), index(v)) for i, v in self.eta]))
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "eta", eta)
-        gp = self.table.gp_indices()
-        if tuple(i for i, _ in l) != gp:
+        gp = self.table.gp_indices
+        if tuple([i for i, _ in l]) != gp:
             raise ValueError(f"l must be defined exactly on the good indices {gp}")
+        entries = self.table.entries
+        in_R = []
         for i, v in l:
-            b = self.table.entries[i][1]
+            b = entries[i][1]
             if not 0 <= 2 * v <= b:
                 raise ValueError(f"l({i}) = {v} outside 0..{b}/2")
-        in_R = tuple(i for i, v in l if 2 * v < self.table.entries[i][1])
-        if tuple(i for i, _ in eta) != in_R:
+            if 2 * v < b:
+                in_R.append(i)
+        in_R = tuple(in_R)
+        if tuple([i for i, _ in eta]) != in_R:
             raise ValueError(f"eta must be defined exactly on R_l = {in_R}")
         if any(v not in (1, -1) for _, v in eta):
             raise ValueError("eta values must be +1 or -1")
 
+    @functools.cached_property
+    def _l_map(self) -> dict[int, int]:
+        return {**dict(self.l), PHANTOM: 0} if self.table.gt.s == -1 else dict(self.l)
+
+    @functools.cached_property
+    def _eta_map(self) -> dict[int, int]:
+        return {**dict(self.eta), PHANTOM: 1} if self.table.gt.s == -1 else dict(self.eta)
+
     def l_of(self, i: int) -> int:
-        if i == PHANTOM and self.table.gt.s == -1:
-            return 0
-        return dict(self.l)[i]
+        return self._l_map[i]
 
     def eta_of(self, i: int) -> int:
-        if i == PHANTOM and self.table.gt.s == -1:
-            return 1
-        return dict(self.eta)[i]
+        return self._eta_map[i]
 
     def to_json(self) -> dict:
         return {
@@ -167,21 +166,36 @@ class AdmissibleOrder:
     """A linear order on the good-parity indices of a table.
 
     The defining beta/alpha condition is enforced on construction; the
-    phantom is implicitly below the whole order and never listed.
+    phantom is implicitly below the whole order and never listed.  The
+    gamma signs are computed once per order, kept out of the fields.
     """
 
     table: ATable
     order: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        order = tuple(int(i) for i in self.order)
+        order = tuple(map(index, self.order))
         object.__setattr__(self, "order", order)
-        if tuple(sorted(order)) != self.table.gp_indices():
+        if tuple(sorted(order)) != self.table.gp_indices:
             raise ValueError(
-                f"order must permute the good indices {self.table.gp_indices()}"
+                f"order must permute the good indices {self.table.gp_indices}"
             )
         if not _admissible(self.table, order):
             raise ValueError(f"{order} violates the admissibility condition")
+
+    @functools.cached_property
+    def _gamma_signs(self) -> dict[int, int]:
+        """(-1)^{|Z_i|} at every index, in one pass: the entries with
+        a_j = a_i + 1 before i, plus those with a_j = a_i - 1 after it."""
+        a_of = [self.table.entries[i][0] for i in self.order]
+        after = Counter(a_of)
+        before = Counter()
+        signs = {}
+        for i, a in zip(self.order, a_of):
+            after[a] -= 1
+            signs[i] = -1 if (before[a + 1] + after[a - 1]) % 2 else 1
+            before[a] += 1
+        return signs
 
     @property
     def standard(self) -> bool:
@@ -192,14 +206,14 @@ class AdmissibleOrder:
 def standard_order(m: ATable) -> AdmissibleOrder:
     """The standard admissible order: entries ascending."""
     return AdmissibleOrder(
-        m, tuple(sorted(m.gp_indices(), key=lambda i: (m.entries[i], i)))
+        m, tuple(sorted(m.gp_indices, key=lambda i: (m.entries[i], i)))
     )
 
 
 def moeglin_params(m: ATable) -> list[MoeglinParam]:
     """All of W(m): l(i) in 0..b_i/2, a sign wherever l(i) < b_i/2."""
-    gp = m.gp_indices()
-    if not (m.near_tempered() or len(gp) <= PARAM_BOUND):
+    gp = m.gp_indices
+    if not (m.near_tempered or len(gp) <= PARAM_BOUND):
         raise BoundExceeded(
             f"{len(gp)} entries of unbounded b; enumeration capped at {PARAM_BOUND}"
         )
@@ -225,7 +239,7 @@ def moeglin_params(m: ATable) -> list[MoeglinParam]:
 
 def admissible_orders(m: ATable) -> list[AdmissibleOrder]:
     """Every admissible order on m, by filtered permutation scan."""
-    gp = m.gp_indices()
+    gp = m.gp_indices
     if len(gp) > ORDER_BOUND:
         raise BoundExceeded(
             f"t = {len(gp)} good entries; the order scan is capped at {ORDER_BOUND}"
@@ -239,13 +253,12 @@ def admissible_orders(m: ATable) -> list[AdmissibleOrder]:
 
 def gamma(ao: AdmissibleOrder, i: int) -> int:
     """The sign correction (-1)^{|Z_i|} at the entry index i."""
-    if not ao.table.near_tempered():
+    if not ao.table.near_tempered:
         raise ValueError("gamma has a closed form only on near-tempered tables")
-    pos = ao.order.index(i)
-    a = ao.table.entries[i][0]
-    hits = sum(1 for j in ao.order[:pos] if ao.table.entries[j][0] == a + 1)
-    hits += sum(1 for j in ao.order[pos + 1 :] if ao.table.entries[j][0] == a - 1)
-    return -1 if hits % 2 else 1
+    try:
+        return ao._gamma_signs[i]
+    except KeyError:
+        raise ValueError(f"{i} is not an index of the order {ao.order}") from None
 
 
 def arthur_character(ao: AdmissibleOrder, mp: MoeglinParam) -> TableChar:
@@ -260,7 +273,7 @@ def arthur_character(ao: AdmissibleOrder, mp: MoeglinParam) -> TableChar:
     if mp.table != m:
         raise ValueError("order and parameter live on different tables")
     bits = {}
-    for i in m.gp_indices():
+    for i in m.gp_indices:
         a, b = m.entries[i]
         if (a, b) in bits:
             continue
@@ -275,7 +288,7 @@ def arthur_character(ao: AdmissibleOrder, mp: MoeglinParam) -> TableChar:
     subset = frozenset(e for e, sign in bits.items() if sign == -1)
     eps = TableChar(m, subset)
     if not eps.in_P0 and m.gt.s == 1:
-        flip = frozenset(e for e in table_support_mf(m) if e[0] * e[1] % 2)
+        flip = frozenset(e for e in m.support_mf if e[0] * e[1] % 2)
         eps = TableChar(m, subset ^ flip)
     return eps
 
@@ -361,18 +374,60 @@ def tempered_intersection(cp: ClassPartition, z: int, J) -> tuple[CharFn, ...]:
     return tuple(eps for eps in char_group(cp) if all(t(eps) != 1 for t in ts))
 
 
-def moeglin_param_of_tempered(cp: ClassPartition, eps: CharFn, z: int = 1):
-    """The parameter of a tempered member: l = 0 and eta(i) = (-1)^eps(a_i)."""
+def _tempered_param(ao: AdmissibleOrder, cp: ClassPartition, eps: CharFn) -> MoeglinParam:
+    """The parameter of a tempered member on the tempered table of ``ao``:
+    l = 0 and eta(i) = (-1)^eps(a_i)."""
     if eps.base != cp or not eps.in_P0:
         raise ValueError(f"{eps!r} does not label a tempered member of {cp.lam!r}")
-    m = tempered_table(cp, z)
-    gp = m.gp_indices()
-    mp = MoeglinParam(
+    m = ao.table
+    gp = m.gp_indices
+    return MoeglinParam(
         m,
         tuple((i, 0) for i in gp),
         tuple((i, eps.sign(m.entries[i][0])) for i in gp),
     )
-    return m, standard_order(m), mp
+
+
+def moeglin_param_of_tempered(cp: ClassPartition, eps: CharFn, z: int = 1):
+    """The tempered table, its standard order and the parameter of the
+    tempered member eps: l = 0 and eta(i) = (-1)^eps(a_i)."""
+    ao = standard_order(tempered_table(cp, z))
+    return ao.table, ao, _tempered_param(ao, cp, eps)
+
+
+def merge_chains(cp: ClassPartition, z: int = 1):
+    """:func:`merge_chain` of lam at central character z, as a function
+    (eps, J) -> (table, order, parameter).
+
+    The tempered table and its standard order are built once, and the
+    target m_{lam,J} once per J, the tempered table being m_{lam,empty};
+    they live as long as the function.
+    """
+    start = standard_order(tempered_table(cp, z))
+    targets = {frozenset(): start.table}
+
+    def chain(eps: CharFn, J):
+        J = frozenset(J)
+        target = targets.get(J)
+        if target is None:
+            # raises NotInJ unless J lies inside J(lam)
+            target = targets[J] = near_tempered_table(cp, J, z)
+        ao, mp = start, _tempered_param(start, cp, eps)
+        for c in sorted(J):
+            if c == 1:
+                k = 0
+            else:
+                m = ao.table
+                slots = [p for p, i in enumerate(ao.order) if m.entries[i] == (c - 1, 1)]
+                if not slots:
+                    raise MoveNotApplicable(f"no (a, 1) entry left with a = {c - 1}")
+                k = slots[-1] + 1
+            _, ao, mp = merge_move(ao, mp, k)
+        if ao.table != target:
+            raise MalformedOutput(f"merge chain for J = {sorted(J)} missed its target")
+        return ao.table, ao, mp
+
+    return chain
 
 
 def merge_chain(cp: ClassPartition, eps: CharFn, J, z: int = 1):
@@ -383,17 +438,4 @@ def merge_chain(cp: ClassPartition, eps: CharFn, J, z: int = 1):
     c = 1 uses the phantom slot.  Raises MoveNotApplicable exactly when
     eps fails a t_c sign condition, i.e. lies outside the intersection.
     """
-    J = _within_J(cp, J)
-    m, ao, mp = moeglin_param_of_tempered(cp, eps, z)
-    for c in sorted(J):
-        if c == 1:
-            k = 0
-        else:
-            slots = [p for p, i in enumerate(ao.order) if m.entries[i] == (c - 1, 1)]
-            if not slots:
-                raise MoveNotApplicable(f"no (a, 1) entry left with a = {c - 1}")
-            k = slots[-1] + 1
-        m, ao, mp = merge_move(ao, mp, k)
-    if m != near_tempered_table(cp, J, z):
-        raise MalformedOutput(f"merge chain for J = {sorted(J)} missed its target")
-    return m, ao, mp
+    return merge_chains(cp, z)(eps, J)

@@ -23,9 +23,9 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
+from operator import index, itemgetter
 
 from .components import (
-    CLASS_CACHE_SIZE,
     _check_canonical,
     _neighbours,
     _subsets_in_order,
@@ -73,7 +73,9 @@ class ATable:
     Entries of *good parity* are those with a + b even for s = +1, odd
     for s = -1; a table is valid when every entry of bad parity occurs an
     even number of times (so the total representation has the right
-    self-duality) and the dimensions a*b sum to N.
+    self-duality) and the dimensions a*b sum to N.  The derived data
+    below are computed once per table and kept in its ``__dict__``, out
+    of the fields that equality, hashing and ``repr`` read.
     """
 
     entries: tuple[tuple[int, int], ...]
@@ -81,27 +83,43 @@ class ATable:
     z: int
 
     def __post_init__(self) -> None:
-        entries = tuple(sorted((int(a), int(b)) for a, b in self.entries))
+        entries = tuple(sorted([(index(a), index(b)) for a, b in self.entries]))
         object.__setattr__(self, "entries", entries)
         _check_z(self.z, self.gt)
         total = sum(a * b for a, b in entries)
         if total != self.gt.N:
             raise ValueError(f"dimensions sum to {total}, expected {self.gt.N}")
-        for entry, m in Counter(entries).items():
-            if not self.is_good(entry) and m % 2 == 1:
-                raise ValueError(f"bad-parity entry {entry} has odd multiplicity {m}")
+        # sorted, so the bad entries pair up exactly when their list
+        # splits into equal neighbours
+        bad = [e for e in entries if not self.is_good(e)]
+        if bad[0::2] != bad[1::2]:
+            entry, m = next((e, m) for e, m in Counter(bad).items() if m % 2)
+            raise ValueError(f"bad-parity entry {entry} has odd multiplicity {m}")
 
     def is_good(self, entry: tuple[int, int]) -> bool:
         a, b = entry
         return (a + b) % 2 == (0 if self.gt.s == 1 else 1)
 
+    @functools.cached_property
     def gp_indices(self) -> tuple[int, ...]:
         """Indices (into ``entries``) of the good-parity entries."""
         return tuple(i for i, e in enumerate(self.entries) if self.is_good(e))
 
+    @functools.cached_property
     def near_tempered(self) -> bool:
         """b in {1, 2} on every good-parity entry."""
-        return all(self.entries[i][1] in (1, 2) for i in self.gp_indices())
+        return all(self.entries[i][1] in (1, 2) for i in self.gp_indices)
+
+    @functools.cached_property
+    def support(self) -> tuple[tuple[int, int], ...]:
+        """S(m): the distinct good-parity entries, sorted."""
+        return tuple(sorted({self.entries[i] for i in self.gp_indices}))
+
+    @functools.cached_property
+    def support_mf(self) -> tuple[tuple[int, int], ...]:
+        """S(m^mf): the good-parity entries of odd multiplicity."""
+        counts = Counter(self.entries[i] for i in self.gp_indices)
+        return tuple(sorted(e for e, c in counts.items() if c % 2))
 
     def p(self) -> Partition:
         """The associated partition: each (a, b) contributes b parts a."""
@@ -126,9 +144,10 @@ class InfChar:
     eigen: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        eigen = tuple(sorted(self.eigen, reverse=True))
+        eigen = tuple(sorted(map(index, self.eigen), reverse=True))
         object.__setattr__(self, "eigen", eigen)
-        if Counter(eigen) != Counter(-j for j in eigen):
+        # descending, so symmetric exactly when it reads back negated
+        if eigen != tuple(-j for j in reversed(eigen)):
             raise ValueError("eigenvalue multiset is not symmetric under j -> -j")
 
     def to_json(self) -> dict:
@@ -147,10 +166,10 @@ class LParam:
     summands: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        summands = tuple(sorted((int(j2), int(k)) for j2, k in self.summands))
+        summands = tuple(sorted([(index(j2), index(k)) for j2, k in self.summands]))
         object.__setattr__(self, "summands", summands)
         _check_z(self.z)
-        if Counter(summands) != Counter((-j2, k) for j2, k in summands):
+        if summands != tuple(sorted([(-j2, k) for j2, k in summands])):
             raise ValueError("summand multiset is not self-dual")
         if any(k < 1 for _, k in summands):
             raise ValueError("summand dimensions must be positive")
@@ -167,11 +186,6 @@ class LParam:
     @property
     def N(self) -> int:
         return sum(k for _, k in self.summands)
-
-    def sl2_partition(self) -> Partition:
-        """The restriction to the Arthur SL2 is trivial here; this is the
-        partition of Frobenius-semisimplified SL2-dimensions k."""
-        return Partition(k for _, k in self.summands)
 
     def to_json(self) -> list:
         return [{"z": self.z, "j2": j2, "k": k} for j2, k in self.summands]
@@ -269,6 +283,16 @@ def packets_containing(cp: ClassPartition, eps, z: int = 1) -> list[tuple[frozen
     return [(J, near_tempered_table(cp, J, z)) for J in _subsets_in_order(_member_moves(cp, eps))]
 
 
+def _take(counts: dict, values) -> bool:
+    """Take each of ``values`` once from ``counts``; False when one is
+    not there (the counts are then spoiled)."""
+    for v in values:
+        if not counts.get(v):
+            return False
+        counts[v] -= 1
+    return True
+
+
 @functools.lru_cache(maxsize=None)
 def _run_decompositions(remaining: tuple[int, ...]) -> frozenset:
     """All self-dual ways to cover the symmetric descending multiset
@@ -281,23 +305,58 @@ def _run_decompositions(remaining: tuple[int, ...]) -> frozenset:
     """
     if not remaining:
         return frozenset({()})
-    counts = Counter(remaining)
+    # keys in descending order, since ``remaining`` descends
+    counts = {}
+    for v in remaining:
+        counts[v] = counts.get(v, 0) + 1
     top = remaining[0]
     out = set()
     for k in range(1, len(remaining) + 1):
-        run = Counter(top - 2 * i for i in range(k))
-        if any(counts[v] < c for v, c in run.items()):
+        # the run's values are distinct, and the first k - 1 fit
+        if top - 2 * (k - 1) not in counts:
             break  # every longer run contains this one
         j2 = top - k + 1
-        pair = ((j2, k),) if j2 == 0 else ((j2, k), (-j2, k))
+        run = range(top, top - 2 * k, -2)
+        left = counts.copy()
+        _take(left, run)
         # the mirror run is the negated run; the two may overlap
-        used = run if j2 == 0 else run + Counter(-v for v in run.elements())
-        if any(counts[v] < c for v, c in used.items()):
+        if j2 and not _take(left, [-v for v in run]):
             continue
-        rest = tuple(sorted((counts - used).elements(), reverse=True))
-        for tail in _run_decompositions(rest):
-            out.add(tuple(sorted(tail + pair)))
+        pair = ((j2, k),) if j2 == 0 else ((j2, k), (-j2, k))
+        rest = tuple(v for v, c in left.items() for _ in range(c))
+        out.update([tuple(sorted(tail + pair)) for tail in _run_decompositions(rest)])
     return frozenset(out)
+
+
+def _gated_covers(chi: InfChar, gt: GroupType, ordered: bool) -> list[tuple]:
+    """The run covers of chi that are L-parameters of type gt, sorted when
+    ``ordered``.  Each cover must pass the self-dual gate, and is kept
+    when its j2 = 0 summands of the wrong symmetry (symplectic nu_k for
+    s = +1, orthogonal for s = -1) pair up.
+
+    Raises :class:`BoundExceeded` when the dimension exceeds ENUM_BOUND.
+    """
+    N = len(chi.eigen)
+    if N != gt.N:
+        raise ValueError(f"character has {N} eigenvalues, expected {gt.N}")
+    if N > ENUM_BOUND:
+        raise BoundExceeded(f"N = {N} exceeds enumeration bound {ENUM_BOUND}")
+    _check_z(chi.z, gt)
+    wrong = 0 if gt.s == 1 else 1  # parity of the k whose nu_k has the wrong symmetry
+    covers = _run_decompositions(chi.eigen)
+    kept = []
+    for summands in sorted(covers) if ordered else covers:
+        # a sorted self-dual cover equals its sorted mirror; passing this
+        # gate is what lets the cover skip LParam's own validation (read
+        # backwards, the mirror is nearly sorted already)
+        if summands != tuple(sorted([(-j2, k) for j2, k in reversed(summands)])):
+            raise MalformedOutput(f"run cover {summands} is not self-dual")
+        # the cover is sorted, so the wrong-symmetry j2 = 0 summands pair
+        # up when their list splits into equal neighbours
+        ks = [k for j2, k in summands if j2 == 0 and k % 2 == wrong]
+        if not ks or ks[0::2] == ks[1::2]:
+            kept.append(summands)
+    return kept
 
 
 def enumerate_lparams_with_inf_char(chi: InfChar, gt: GroupType) -> list[LParam]:
@@ -308,26 +367,7 @@ def enumerate_lparams_with_inf_char(chi: InfChar, gt: GroupType) -> list[LParam]
     symmetry (symplectic nu_k for s = +1, orthogonal for s = -1) pair up.
     Raises :class:`BoundExceeded` when the dimension exceeds ENUM_BOUND.
     """
-    N = len(chi.eigen)
-    if N != gt.N:
-        raise ValueError(f"character has {N} eigenvalues, expected {gt.N}")
-    if N > ENUM_BOUND:
-        raise BoundExceeded(f"N = {N} exceeds enumeration bound {ENUM_BOUND}")
-    _check_z(chi.z, gt)
-    wrong = 0 if gt.s == 1 else 1  # parity of the k whose nu_k has the wrong symmetry
-    found = []
-    for summands in sorted(_run_decompositions(chi.eigen)):
-        # a sorted self-dual cover equals its sorted mirror; passing this
-        # gate is what lets the cover skip LParam's own validation
-        if summands != tuple(sorted((-j2, k) for j2, k in summands)):
-            raise MalformedOutput(f"run cover {summands} is not self-dual")
-        # kept when the j2 = 0 summands of the wrong symmetry pair up; the
-        # cover is sorted, so that is when their list splits into equal
-        # neighbours
-        ks = [k for j2, k in summands if j2 == 0 and k % 2 == wrong]
-        if ks[0::2] == ks[1::2]:
-            found.append(LParam._trusted(chi.z, summands))
-    return found
+    return [LParam._trusted(chi.z, summands) for summands in _gated_covers(chi, gt, True)]
 
 
 @dataclass(frozen=True)
@@ -337,24 +377,29 @@ class AlmostIntroReport:
     found: frozenset
 
 
-@functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
-def _sl2_dual(ks: Partition, gt: GroupType) -> ClassPartition:
-    """d of the class with SL2-partition ``ks``; the many parameters of
-    one verify cell share a few hundred of them."""
-    return bvls_dual(classify(ks, gt))
-
-
-def verify_almost_intro(cp: ClassPartition) -> AlmostIntroReport:
+def verify_almost_intro(cp: ClassPartition, duals: dict | None = None) -> AlmostIntroReport:
     """Check that the parameters with character chi_{1,lam} and the same
-    dual as lam are exactly the near-tempered family of the piece cube."""
+    dual as lam are exactly the near-tempered family of the piece cube.
+
+    Each distinct SL2-partition is dualized once, into ``duals``: a dict
+    from the ascending tuple of the partition to the partition of its
+    dual.  A partition fixes its group type by its size, so a caller
+    that checks many classes may pass one dict to all of them.
+    """
+    if duals is None:
+        duals = {}
     expected = frozenset(
         l_param_of_table(near_tempered_table(cp, J))
         for J in _subsets_in_order(block_structure(cp).J_set)
     )
-    d_lam = bvls_dual(cp)
-    found = frozenset(
-        phi
-        for phi in enumerate_lparams_with_inf_char(chi_z_lambda(cp), cp.gt)
-        if _sl2_dual(phi.sl2_partition(), cp.gt) == d_lam
-    )
-    return AlmostIntroReport(ok=(found == expected), expected=expected, found=found)
+    d_lam = bvls_dual(cp).lam
+    chi = chi_z_lambda(cp)
+    found = set()
+    for summands in _gated_covers(chi, cp.gt, False):
+        ks = tuple(sorted(map(itemgetter(1), summands)))
+        dual = duals.get(ks)
+        if dual is None:
+            dual = duals[ks] = bvls_dual(classify(Partition(ks), cp.gt)).lam
+        if dual == d_lam:
+            found.add(LParam._trusted(chi.z, summands))
+    return AlmostIntroReport(ok=(found == expected), expected=expected, found=frozenset(found))

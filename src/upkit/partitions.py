@@ -22,6 +22,7 @@ every other module consumes:
 """
 
 import itertools
+import operator
 import re
 
 from .errors import BoundExceeded, NotContained, ParityViolation, WrongTotal
@@ -67,14 +68,15 @@ class Partition(tuple):
     """An immutable partition: a weakly decreasing tuple of positive integers.
 
     Accepts any iterable of nonnegative integers; zeros are dropped, the
-    rest is sorted.  A partition is the tuple of its parts, so it compares
-    and hashes as that tuple.
+    rest is sorted.  A part that is not an integer (a float, a string)
+    raises TypeError rather than being converted.  A partition is the
+    tuple of its parts, so it compares and hashes as that tuple.
     """
 
     __slots__ = ()
 
     def __new__(cls, parts=()):
-        cleaned = sorted((int(p) for p in parts), reverse=True)
+        cleaned = sorted(map(operator.index, parts), reverse=True)
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
         if cleaned and cleaned[-1] < 0:
@@ -86,11 +88,6 @@ class Partition(tuple):
         """Build without validation from positive integers that are
         already weakly decreasing."""
         return tuple.__new__(cls, parts)
-
-    @property
-    def parts(self):
-        """The parts as a plain tuple."""
-        return tuple(self)
 
     @classmethod
     def from_text(cls, text):

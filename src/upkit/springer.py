@@ -61,6 +61,7 @@ serve one character at a time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -595,8 +596,10 @@ def _tableau_summary(e_plus, gam, delta, tau):
     return first_rows, tuple(pairs)
 
 
+@functools.lru_cache(maxsize=None)
 def _e_pairs(gt: GroupType) -> frozenset:
-    """The family E^s_0, ..., E^s_n of gt as (alpha, beta) parts pairs."""
+    """The family E^s_0, ..., E^s_n of gt as (alpha, beta) parts pairs,
+    built once per group type."""
     return frozenset((e.alpha, e.beta) for e in e_family(gt.s, gt.n))
 
 

@@ -19,7 +19,7 @@ brute force ``enumerate_lparams_with_inf_char`` reaches none of
 from __future__ import annotations
 
 from .components import CharFn, _subsets_in_order, block_structure, canonical_subsets
-from .moeglin import arthur_character, merge_chain, tempered_intersection
+from .moeglin import arthur_character, merge_chains, tempered_intersection
 from .params import ENUM_BOUND, verify_almost_intro
 from .partitions import (
     DEFAULT_ENUMERATION_BOUND,
@@ -91,14 +91,15 @@ def check_js(gt: GroupType) -> int:
     checked = 0
     zs = (1,) if gt.s == 1 else (1, -1)
     for cp in enumerate_classes(gt):
+        chains = {z: merge_chains(cp, z) for z in zs}
         for J in _subsets_in_order(block_structure(cp).J_set):
             for z in zs:
                 for eps in tempered_intersection(cp, z, J):
-                    # merge_chain raises MalformedOutput when it misses
+                    # a chain raises MalformedOutput when it misses
                     # near_tempered_table(cp, J, z)
-                    m, ao, p = merge_chain(cp, eps, J, z)
+                    m, ao, p = chains[z](eps, J)
                     ch = arthur_character(ao, p)
-                    for i in m.gp_indices():
+                    for i in m.gp_indices:
                         a, b = m.entries[i]
                         if b == 1:
                             # untouched entries keep the tempered sign
@@ -122,8 +123,9 @@ def check_almost(gt: GroupType) -> int:
     """The brute-force L-parameters with character chi_lambda and dual
     d(lam) are exactly the near-tempered family of the piece cube."""
     checked = 0
+    duals = {}
     for cp in enumerate_classes(gt):
-        report = verify_almost_intro(cp)
+        report = verify_almost_intro(cp, duals)
         if not report.ok or len(report.found) != 2 ** len(block_structure(cp).J_set):
             raise VerificationFailed(f"{_at(cp)}: brute force disagrees with the piece cube")
         checked += 1

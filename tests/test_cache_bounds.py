@@ -1,9 +1,9 @@
 """Every lru_cache in upkit has the one bound, except the ones listed here.
 
 An unbounded cache grows with every class a sweep visits.  The caches in
-``UNBOUNDED`` are keyed by degrees, bipartitions and run multisets, not by
-classes; every other cache has the bound ``CLASS_CACHE_SIZE``, so a new
-cache cannot bring a bound of its own.
+``UNBOUNDED`` are keyed by group types, degrees, bipartitions and run
+multisets, not by classes; every other cache has the bound
+``CLASS_CACHE_SIZE``, so a new cache cannot bring a bound of its own.
 """
 
 import importlib
@@ -14,6 +14,8 @@ from upkit.components import CLASS_CACHE_SIZE
 from upkit.verify import check_firstrow, check_theoremC, every_group
 
 UNBOUNDED = {
+    # keyed by group type
+    "upkit.springer._e_pairs",
     "upkit.params._run_decompositions",
     "upkit.wreps._lr_count",
     "upkit.wreps.e_family",
@@ -27,7 +29,6 @@ CLASS_KEYED = {
     "upkit.components.char_group",
     "upkit.components.canonical_subgroup",
     "upkit.pieces.bvls_dual",
-    "upkit.params._sl2_dual",
 }
 
 

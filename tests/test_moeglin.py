@@ -16,11 +16,9 @@ from upkit.moeglin import (
     moeglin_param_of_tempered,
     moeglin_params,
     standard_order,
-    table_support,
-    table_support_mf,
     tempered_intersection,
 )
-from upkit.params import ATable, near_tempered_table, tempered_table
+from upkit.params import ATable, InfChar, LParam, near_tempered_table, tempered_table
 from upkit.partitions import GroupType, Partition, classify, enumerate_classes
 
 
@@ -50,6 +48,27 @@ def mk(m, l, eta):
     return MoeglinParam(m, tuple(l.items()), tuple(eta.items()))
 
 
+_B3 = GroupType(1, 3)
+
+# each builder applied to a float and to a str where an integer belongs
+_NON_INTEGERS = {
+    "Partition": lambda x: Partition([x, 1]),
+    "ATable": lambda x: ATable(((x, 1), (1, 1), (1, 1)), _B3, 1),
+    "LParam": lambda x: LParam(1, ((x, 1),)),
+    "InfChar": lambda x: InfChar(1, (x, 0)),
+    "MoeglinParam": lambda x: MoeglinParam(ATable(((3, 1),), _B3, 1), ((0, x),), ((0, 1),)),
+    "AdmissibleOrder": lambda x: AdmissibleOrder(ATable(((3, 1),), _B3, 1), (x,)),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, "3"])
+@pytest.mark.parametrize("kind", sorted(_NON_INTEGERS))
+def test_constructors_refuse_non_integers(kind, value):
+    # a float or a digit string is refused, never read through int()
+    with pytest.raises(TypeError):
+        _NON_INTEGERS[kind](value)
+
+
 def subsets(vals):
     vals = sorted(vals)
     for r in range(len(vals) + 1):
@@ -61,11 +80,11 @@ def subsets(vals):
 
 def test_table_support():
     m = T([(2, 1), (2, 1), (5, 1)], 1)  # (2,1) is a bad-parity pair
-    assert table_support(m) == ((5, 1),)
-    assert table_support_mf(m) == ((5, 1),)
+    assert m.support == ((5, 1),)
+    assert m.support_mf == ((5, 1),)
     m = T([(1, 1), (3, 1), (3, 1)], 1)
-    assert table_support(m) == ((1, 1), (3, 1))
-    assert table_support_mf(m) == ((1, 1),)
+    assert m.support == ((1, 1), (3, 1))
+    assert m.support_mf == ((1, 1),)
 
 
 def test_table_char_basics():
@@ -156,7 +175,7 @@ def test_admissible_necessity_sweep():
     for cp in both_types(10):
         for J in subsets(block_structure(cp).J_set):
             m = near_tempered_table(cp, J)
-            if len(m.gp_indices()) > 5:
+            if len(m.gp_indices) > 5:
                 continue
             for ao in admissible_orders(m):
                 a_seq = [m.entries[i][0] for i in ao.order]
@@ -179,7 +198,7 @@ def test_gamma_standard_is_trivial():
     for cp in both_types(12):
         m = tempered_table(cp)
         ao = standard_order(m)
-        assert all(gamma(ao, i) == 1 for i in m.gp_indices())
+        assert all(gamma(ao, i) == 1 for i in m.gp_indices)
 
 
 def test_gamma_nonstandard_fixture():
@@ -251,7 +270,7 @@ def test_arthur_standard_order_independent():
         assert len({arthur_character(ao, p).subset for ao in standards}) == 1
     for cp in both_types(9):
         m = tempered_table(cp)
-        if len(m.gp_indices()) > 5:
+        if len(m.gp_indices) > 5:
             continue
         standards = [ao for ao in admissible_orders(m) if ao.standard]
         for p in moeglin_params(m):
@@ -372,7 +391,7 @@ def test_param_of_tempered():
     m, ao, p = moeglin_param_of_tempered(cp, CharFn(cp, frozenset({1, 3})))
     assert m == tempered_table(cp)
     assert ao.standard
-    assert [p.eta_of(i) for i in m.gp_indices()] == [-1, -1, 1]
+    assert [p.eta_of(i) for i in m.gp_indices] == [-1, -1, 1]
     assert arthur_character(ao, p).subset == {(1, 1), (3, 1)}
     with pytest.raises(ValueError):
         moeglin_param_of_tempered(cp, CharFn(cp, frozenset({1})))  # not in P_0
@@ -423,7 +442,7 @@ def test_merge_chain_z():
 def _reconstruct(cp, m, p):
     """Invert a chain output back to the tempered character's subset."""
     by_entry = {}
-    for i in m.gp_indices():
+    for i in m.gp_indices:
         e = m.entries[i]
         if e not in by_entry:
             by_entry[e] = p.eta_of(i) if 2 * p.l_of(i) < e[1] else 0
@@ -456,7 +475,7 @@ def test_merge_chain_round_trip():
                     assert all(v == 0 for _, v in p.l)
                     ch = arthur_character(ao, p)
                     assert ch.in_P0
-                    for i in m.gp_indices():
+                    for i in m.gp_indices:
                         a, b = m.entries[i]
                         if b == 1:
                             assert p.eta_of(i) == eps.sign(a)
@@ -479,12 +498,12 @@ def test_lpacket_pinning():
                 continue
             m = near_tempered_table(cp, J)
             ao = standard_order(m)
-            flat = {e for e in table_support(m) if e[1] == 1}
+            flat = {e for e in m.support if e[1] == 1}
             for p in moeglin_params(m):
                 ch = arthur_character(ao, p)
                 pinned = all(
                     p.l_of(i) == 1
-                    for i in m.gp_indices()
+                    for i in m.gp_indices
                     if m.entries[i][1] == 2
                 )
                 assert (ch.subset <= flat) == pinned
@@ -496,7 +515,7 @@ def _raw_character(ao, p):
     """Formula signs on S(m); None when copies of an entry disagree."""
     m = ao.table
     out = {}
-    for i in m.gp_indices():
+    for i in m.gp_indices:
         a, b = m.entries[i]
         li = p.l_of(i)
         if 2 * li < b:
@@ -522,9 +541,9 @@ def test_switch_sign_propagation():
             if not J:
                 continue
             m = near_tempered_table(cp, J)
-            if len(m.gp_indices()) > 5:
+            if len(m.gp_indices) > 5:
                 continue
-            mf = set(table_support_mf(m))
+            mf = set(m.support_mf)
             for ao in admissible_orders(m):
                 for p in moeglin_params(m):
                     raw = _raw_character(ao, p)

@@ -59,8 +59,8 @@ def test_tempered_table_fixture():
     m = tempered_table(B("5,3,1"))
     assert m.entries == ((1, 1), (3, 1), (5, 1))
     assert m.p() == (5, 3, 1)
-    assert m.near_tempered()
-    assert m.gp_indices() == (0, 1, 2)
+    assert m.near_tempered
+    assert m.gp_indices == (0, 1, 2)
     assert m.to_json() == {
         "entries": [{"a": 1, "b": 1}, {"a": 3, "b": 1}, {"a": 5, "b": 1}],
         "z": 1,
@@ -90,7 +90,7 @@ def test_l_param_fixture():
     phi = l_param_of_table(near_tempered_table(B("5,3,1"), {4}))
     assert phi.summands == ((-1, 4), (0, 1), (1, 4))
     assert phi.N == 9
-    assert phi.sl2_partition() == (4, 4, 1)
+    assert Partition(k for _, k in phi.summands) == (4, 4, 1)
     assert phi.to_json() == [
         {"z": 1, "j2": -1, "k": 4},
         {"z": 1, "j2": 0, "k": 1},
@@ -236,7 +236,7 @@ def test_enumerate_small_fixture():
     gt = GroupType(1, 3)
     chi = chi_z_lambda(B("3"))
     found = enumerate_lparams_with_inf_char(chi, gt)
-    assert {phi.sl2_partition() for phi in found} == {(3,), (1, 1, 1)}
+    assert {Partition(k for _, k in phi.summands) for phi in found} == {(3,), (1, 1, 1)}
     with pytest.raises(BoundExceeded):
         enumerate_lparams_with_inf_char(chi_z_lambda(B("17")), GroupType(1, 17))
 

@@ -89,7 +89,7 @@ def test_sym_table_known_rows():
         assert table[P("1^4")][rho] == (-1) ** (4 - len(rho))
     # the standard representation: fixed points minus one
     std = table[P("3,1")]
-    assert {rho.parts: std[rho] for rho in partitions_of(4)} == {
+    assert {rho: std[rho] for rho in partitions_of(4)} == {
         (4,): -1, (3, 1): 0, (2, 2): -1, (2, 1, 1): 1, (1, 1, 1, 1): 3,
     }
 
