@@ -66,11 +66,15 @@ def _max_n_cap() -> int:
         raise SystemExit(_fail(EXIT_USAGE, f"UPKIT_MAX_N={raw!r} is not an integer"))
 
 
+# built once: json.dumps with options builds a new encoder for every record
+_ENCODERS = {
+    False: json.JSONEncoder(sort_keys=True, separators=(",", ":")),
+    True: json.JSONEncoder(sort_keys=True, indent=2),
+}
+
+
 def _emit(obj, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(obj, sort_keys=True, indent=2))
-    else:
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    print(_ENCODERS[pretty].encode(obj))
 
 
 # what str.splitlines breaks at, escaped so that every message is one line

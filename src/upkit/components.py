@@ -130,9 +130,11 @@ class BlockStructure:
 
 # The bound on every class-keyed cache.  It holds every class of the runs
 # that revisit classes: `verify --suite all --maxN 16` builds 455 block
-# structures, the 1,200 single-class queries of the `queries` benchmark
-# (seed 7) 467.  The theoremC and firstrow sweeps, which visit each class
-# once, read none of these caches.
+# structures and 394 piece cubes, the 1,200 single-class queries of the
+# `queries` benchmark (seed 7) 467 block structures, 362 piece cubes and
+# 201 weak packets.  A piece-cube or weak-packet entry holds 2^|J(lam)|
+# members or rows.  The theoremC and firstrow sweeps, which visit each
+# class once, read none of these caches.
 CLASS_CACHE_SIZE = 1024
 
 

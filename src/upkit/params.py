@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from operator import index, itemgetter
 
 from .components import (
+    CLASS_CACHE_SIZE,
     _check_canonical,
     _neighbours,
     _subsets_in_order,
@@ -57,13 +58,16 @@ __all__ = [
 ENUM_BOUND = 16
 
 
-def _check_z(z: int, gt: GroupType | None = None) -> None:
-    """z is +1 or -1, and -1 only for s = -1, where the dual group has a
-    center to see it (checked when gt is given)."""
+def _check_z(z: int, gt: GroupType | None = None) -> int:
+    """z as an int (:class:`TypeError` for a float or a string): +1 or -1,
+    and -1 only for s = -1, where the dual group has a center to see it
+    (checked when gt is given)."""
+    z = index(z)
     if z not in (1, -1):
         raise ValueError("z must be +1 or -1")
     if z == -1 and gt is not None and gt.s == 1:
         raise ValueError("z = -1 needs a dual group with a center (s = -1)")
+    return z
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,7 @@ class ATable:
     def __post_init__(self) -> None:
         entries = tuple(sorted([(index(a), index(b)) for a, b in self.entries]))
         object.__setattr__(self, "entries", entries)
-        _check_z(self.z, self.gt)
+        object.__setattr__(self, "z", _check_z(self.z, self.gt))
         total = sum(a * b for a, b in entries)
         if total != self.gt.N:
             raise ValueError(f"dimensions sum to {total}, expected {self.gt.N}")
@@ -145,6 +149,7 @@ class InfChar:
 
     def __post_init__(self) -> None:
         eigen = tuple(sorted(map(index, self.eigen), reverse=True))
+        object.__setattr__(self, "z", index(self.z))
         object.__setattr__(self, "eigen", eigen)
         # descending, so symmetric exactly when it reads back negated
         if eigen != tuple(-j for j in reversed(eigen)):
@@ -168,7 +173,7 @@ class LParam:
     def __post_init__(self) -> None:
         summands = tuple(sorted([(index(j2), index(k)) for j2, k in self.summands]))
         object.__setattr__(self, "summands", summands)
-        _check_z(self.z)
+        object.__setattr__(self, "z", _check_z(self.z))
         if summands != tuple(sorted([(-j2, k) for j2, k in summands])):
             raise ValueError("summand multiset is not self-dual")
         if any(k < 1 for _, k in summands):
@@ -243,11 +248,15 @@ class WeakPacketRow:
     lpacket_size: int
 
 
-def weak_packet(cp: ClassPartition, z: int = 1) -> list[WeakPacketRow]:
+# typed, so that a z of another type than int (1.0, True) is a key of its
+# own and meets the integer rule instead of a row built for the int
+@functools.lru_cache(maxsize=CLASS_CACHE_SIZE, typed=True)
+def weak_packet(cp: ClassPartition, z: int = 1) -> tuple[WeakPacketRow, ...]:
     """The decomposition rows of the weak packet attached to lam.
 
     One row per member mu = T_down(lam, J) of the piece cube; the
-    L-packet sizes |P(mu)_0| sum to the weak packet cardinality.
+    L-packet sizes |P(mu)_0| sum to the weak packet cardinality.  Cached
+    per class and z, so the tuple is shared between callers.
     """
     rows = []
     for J, mu in special_piece(cp):
@@ -261,7 +270,7 @@ def weak_packet(cp: ClassPartition, z: int = 1) -> list[WeakPacketRow]:
                 lpacket_size=char_group_order(mu),
             )
         )
-    return rows
+    return tuple(rows)
 
 
 def _member_moves(cp: ClassPartition, eps) -> frozenset[int]:

@@ -211,6 +211,8 @@ class GroupType:
     __slots__ = ("s", "N")
 
     def __init__(self, s, N):
+        # ints, never read through int(): 3.0 is refused and True stored as 1
+        s, N = operator.index(s), operator.index(N)
         if s not in (1, -1):
             raise ValueError("s must be +1 or -1")
         if N < 0 or N % 2 != (1 if s == 1 else 0):

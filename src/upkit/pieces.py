@@ -97,15 +97,16 @@ def special_closure(cp: ClassPartition) -> ClassPartition:
     return T_up(cp, block_structure(cp).I_set)
 
 
-def special_piece(cp: ClassPartition) -> list[tuple[frozenset[int], ClassPartition]]:
+@functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
+def special_piece(cp: ClassPartition) -> tuple[tuple[frozenset[int], ClassPartition], ...]:
     """The piece cube below lam: pairs (J, T_down(lam, J)) over all
     subsets J of J(lam), listed by (|J|, sorted values).
 
     When lam is special this is the full special piece Spc(lam); in
     general it is the part of the piece lying under lam in the closure
-    order.
+    order.  Cached per class, so the tuple is shared between callers.
     """
-    return [(J, T_down(cp, J)) for J in _subsets_in_order(block_structure(cp).J_set)]
+    return tuple((J, T_down(cp, J)) for J in _subsets_in_order(block_structure(cp).J_set))
 
 
 def collapse(lam: Partition, gt: GroupType) -> Partition:

@@ -233,7 +233,7 @@ def test_membership_outside_canonical(capsys):
     assert code == 3  # {3,5} is not in the canonical subgroup
 
 
-def test_membership_with_J_builds_no_table(capsys, monkeypatch):
+def test_membership_with_J_builds_no_table(capsys, monkeypatch, cold_class_caches):
     argv = ["membership", "--dual", "B", "--partition", "5,3,1", "--eps", "{1,3}"]
     want = {J: run(capsys, *argv, "--J", J) for J in ("{4}", "{}")}
 
@@ -649,7 +649,7 @@ def test_verify_records_malformed_run_cover_as_fail(capsys, monkeypatch):
     assert all("not self-dual" in r["detail"] for r in rows[:-1])
 
 
-def test_verify_spc_counts_distinct_members(capsys, monkeypatch):
+def test_verify_spc_counts_distinct_members(capsys, monkeypatch, cold_class_caches):
     # every vertex of the piece cube collapsed onto lam: one member, not 2^|J|
     monkeypatch.setattr(upkit.pieces, "T_down", lambda cp, J: cp)
     code, lines = run(capsys, "verify", "--suite", "spc", "--maxN", "8")

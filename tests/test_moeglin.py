@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -58,15 +59,31 @@ _NON_INTEGERS = {
     "InfChar": lambda x: InfChar(1, (x, 0)),
     "MoeglinParam": lambda x: MoeglinParam(ATable(((3, 1),), _B3, 1), ((0, x),), ((0, 1),)),
     "AdmissibleOrder": lambda x: AdmissibleOrder(ATable(((3, 1),), _B3, 1), (x,)),
+    "GroupType.s": lambda x: GroupType(x, 3),
+    "GroupType.N": lambda x: GroupType(1, x),
+    "ATable.z": lambda x: ATable(((3, 1),), _B3, x),
+    "LParam.z": lambda x: LParam(x, ((0, 1),)),
+    "InfChar.z": lambda x: InfChar(x, (0,)),
 }
 
 
-@pytest.mark.parametrize("value", [2.5, "3"])
+@pytest.mark.parametrize("value", [2.5, "3", 1.0])
 @pytest.mark.parametrize("kind", sorted(_NON_INTEGERS))
 def test_constructors_refuse_non_integers(kind, value):
-    # a float or a digit string is refused, never read through int()
+    # a float, integral or not, or a digit string is refused, never read
+    # through int()
     with pytest.raises(TypeError):
         _NON_INTEGERS[kind](value)
+
+
+def test_constructors_store_bools_as_ints():
+    # a bool is an int; what is stored, and printed, is the int
+    assert type(GroupType(True, 3).s) is int
+    for z in (ATable(((3, 1),), _B3, True).z, LParam(True, ((0, 1),)).z, InfChar(True, (0,)).z):
+        assert type(z) is int and z == 1
+    assert json.dumps(ATable(((3, 1),), _B3, True).to_json()) == (
+        '{"entries": [{"a": 3, "b": 1}], "z": 1}'
+    )
 
 
 def subsets(vals):
