@@ -218,6 +218,13 @@ def _subsets_in_order(S):
             yield frozenset(combo)
 
 
+def _p0_subsets(cp: ClassPartition):
+    """P(lam)_0 as subsets of S(lam) in :func:`_subsets_in_order` order; not
+    cached.  :func:`char_group` and the tableau sweep both walk it."""
+    S0 = frozenset(cp.S0)
+    return (a for a in _subsets_in_order(cp.S) if _meets_evenly(a, S0))
+
+
 def _within_J(cp: ClassPartition, J) -> frozenset[int]:
     """J as a frozenset; :class:`NotInJ` unless J lies inside J(lam)."""
     J = frozenset(J)
@@ -239,9 +246,7 @@ def char_group(cp: ClassPartition) -> tuple[CharFn, ...]:
 
     Same order as :func:`full_group`, but only the members are built.
     """
-    return tuple(
-        CharFn(cp, a) for a in _subsets_in_order(cp.S) if _meets_evenly(a, cp.S0)
-    )
+    return tuple(CharFn(cp, a) for a in _p0_subsets(cp))
 
 
 def canonical_subsets(cp: ClassPartition) -> frozenset[frozenset[int]]:

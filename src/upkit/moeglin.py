@@ -41,7 +41,7 @@ from operator import index
 
 from .components import CharFn, char_group, t_character
 from .errors import BoundExceeded, MalformedOutput, MoveNotApplicable
-from .params import ATable, _check_z, near_tempered_table, tempered_table
+from .params import ATable, near_tempered_table, tempered_table
 from .partitions import ClassPartition
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "arthur_character",
     "merge_move",
     "tempered_intersection",
-    "moeglin_param_of_tempered",
     "merge_chains",
     "merge_chain",
 ]
@@ -363,13 +362,13 @@ def merge_move(ao: AdmissibleOrder, mp: MoeglinParam, k: int):
     return table, order, MoeglinParam(table, tuple(l), tuple(eta))
 
 
-def tempered_intersection(cp: ClassPartition, z: int, J) -> tuple[CharFn, ...]:
+def tempered_intersection(cp: ClassPartition, J) -> tuple[CharFn, ...]:
     """Members of the tempered packet shared with the m_{lam,J} packet.
 
     These are the characters in P(lam)_0 with t_c != 1 for every c in J;
-    J = empty set keeps everything.
+    J = empty set keeps everything.  They are the same at every central
+    character z.
     """
-    _check_z(z, cp.gt)
     ts = [t_character(cp, c) for c in sorted(set(J))]
     return tuple(eps for eps in char_group(cp) if all(t(eps) != 1 for t in ts))
 
@@ -386,13 +385,6 @@ def _tempered_param(ao: AdmissibleOrder, cp: ClassPartition, eps: CharFn) -> Moe
         tuple((i, 0) for i in gp),
         tuple((i, eps.sign(m.entries[i][0])) for i in gp),
     )
-
-
-def moeglin_param_of_tempered(cp: ClassPartition, eps: CharFn, z: int = 1):
-    """The tempered table, its standard order and the parameter of the
-    tempered member eps: l = 0 and eta(i) = (-1)^eps(a_i)."""
-    ao = standard_order(tempered_table(cp, z))
-    return ao.table, ao, _tempered_param(ao, cp, eps)
 
 
 def merge_chains(cp: ClassPartition, z: int = 1):
@@ -437,5 +429,7 @@ def merge_chain(cp: ClassPartition, eps: CharFn, J, z: int = 1):
     the first (c+1, 1) entry (adjacent in the running standard order);
     c = 1 uses the phantom slot.  Raises MoveNotApplicable exactly when
     eps fails a t_c sign condition, i.e. lies outside the intersection.
+    J = empty set gives the tempered table, its standard order and the
+    parameter of eps there: l = 0 and eta(i) = (-1)^eps(a_i).
     """
     return merge_chains(cp, z)(eps, J)

@@ -337,11 +337,10 @@ def _run_decompositions(remaining: tuple[int, ...]) -> frozenset:
     return frozenset(out)
 
 
-def _gated_covers(chi: InfChar, gt: GroupType, ordered: bool) -> list[tuple]:
-    """The run covers of chi that are L-parameters of type gt, sorted when
-    ``ordered``.  Each cover must pass the self-dual gate, and is kept
-    when its j2 = 0 summands of the wrong symmetry (symplectic nu_k for
-    s = +1, orthogonal for s = -1) pair up.
+def _gated_covers(chi: InfChar, gt: GroupType) -> list[tuple]:
+    """The run covers of chi that are L-parameters of type gt, unordered.
+    Each must pass the self-dual gate, and is kept when its j2 = 0 summands
+    of the wrong symmetry (symplectic nu_k for s = +1, orthogonal for s = -1) pair up.
 
     Raises :class:`BoundExceeded` when the dimension exceeds ENUM_BOUND.
     """
@@ -354,7 +353,7 @@ def _gated_covers(chi: InfChar, gt: GroupType, ordered: bool) -> list[tuple]:
     wrong = 0 if gt.s == 1 else 1  # parity of the k whose nu_k has the wrong symmetry
     covers = _run_decompositions(chi.eigen)
     kept = []
-    for summands in sorted(covers) if ordered else covers:
+    for summands in covers:
         # a sorted self-dual cover equals its sorted mirror; passing this
         # gate is what lets the cover skip LParam's own validation (read
         # backwards, the mirror is nearly sorted already)
@@ -376,7 +375,7 @@ def enumerate_lparams_with_inf_char(chi: InfChar, gt: GroupType) -> list[LParam]
     symmetry (symplectic nu_k for s = +1, orthogonal for s = -1) pair up.
     Raises :class:`BoundExceeded` when the dimension exceeds ENUM_BOUND.
     """
-    return [LParam._trusted(chi.z, summands) for summands in _gated_covers(chi, gt, True)]
+    return [LParam._trusted(chi.z, summands) for summands in sorted(_gated_covers(chi, gt))]
 
 
 @dataclass(frozen=True)
@@ -404,7 +403,7 @@ def verify_almost_intro(cp: ClassPartition, duals: dict | None = None) -> Almost
     d_lam = bvls_dual(cp).lam
     chi = chi_z_lambda(cp)
     found = set()
-    for summands in _gated_covers(chi, cp.gt, False):
+    for summands in _gated_covers(chi, cp.gt):
         ks = tuple(sorted(map(itemgetter(1), summands)))
         dual = duals.get(ks)
         if dual is None:

@@ -66,7 +66,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .components import CharFn, _subsets_in_order, block_classes
+from .components import CharFn, _p0_subsets, block_classes
 from .errors import BadParity, MalformedOutput, NotSpringerType
 from .partitions import ClassPartition, GroupType, Partition, classify
 from .wreps import Bipartition, e_family
@@ -128,7 +128,7 @@ class _ClassIndex(NamedTuple):
     A subset of S(lam) is read as an S-index bitmask, ``bit[a]`` being
     the bit of the value a (its place in S, ascending).  ``plus`` and
     ``minus`` mask the values of weight +1 and -1 in D_eps, the weight
-    of a being [a in S_max] - [a in S_min]; ``s0`` masks S_0(lam).
+    of a being [a in S_max] - [a in S_min].
 
     ``rows[i-1] = (bit of lam_i, off, on)`` for i = 1..ell, where ``off``
     and ``on`` apply when eps(lam_i) is 0 and 1.  Each is
@@ -147,7 +147,6 @@ class _ClassIndex(NamedTuple):
     bit: dict[int, int]
     plus: int
     minus: int
-    s0: int
     rows: tuple[tuple[int, tuple, tuple], ...]
 
     def mask(self, sub) -> int:
@@ -177,7 +176,7 @@ def _class_index(cp: ClassPartition) -> _ClassIndex:
     S = cp.S
     bit = {}
     X, rows = [], []
-    plus = minus = s0 = 0
+    plus = minus = 0
     # lam is of good parity, so S descending lists the values of its runs
     for j in reversed(range(len(S))):
         a = S[j]
@@ -190,8 +189,6 @@ def _class_index(cp: ClassPartition) -> _ClassIndex:
             plus |= b
         elif w < 0:
             minus |= b
-        if r % 2:
-            s0 |= b
         m = m_on if a in smin else m_off
         lo, hi = a // 2, (a + 1) // 2
         # odd i: gtilde_i = floor(a/2), ebar(i) = +1 off eps;
@@ -205,7 +202,7 @@ def _class_index(cp: ClassPartition) -> _ClassIndex:
         rows += ((other, this) * r)[: r - 1]
     return _ClassIndex(
         cp, tuple(X), frozenset(smax), frozenset(smin), frozenset(cp.S0),
-        bit, plus, minus, s0, tuple(rows),
+        bit, plus, minus, tuple(rows),
     )
 
 
@@ -606,10 +603,10 @@ def _e_pairs(gt: GroupType) -> frozenset:
 def character_sweep(cp: ClassPartition):
     """Every character of P(lam)_0 with its tableaux at (Delta_G, tau_G).
 
-    One pass over the class, in :func:`char_group` order, building no
-    :class:`CharFn` and no :class:`SpringerIndexData`.  Yields
-    ``(sub, first_rows, pairs, spherical)`` per subset sub of S(lam)
-    meeting S_0(lam) evenly.  Off Springer type ``first_rows`` and
+    One pass over the class, building no :class:`CharFn` and no
+    :class:`SpringerIndexData`.  Yields ``(sub, first_rows, pairs,
+    spherical)`` per subset sub of S(lam) in P(lam)_0, walked by
+    :func:`components._p0_subsets` in :func:`char_group` order.  Off Springer type ``first_rows`` and
     ``pairs`` are None and ``spherical`` is False.  Otherwise
     ``first_rows`` is the set of first rows of R(lam, eps, Delta_G,
     tau_G), ``pairs`` the distinct (alpha, beta) parts pairs of
@@ -622,10 +619,7 @@ def character_sweep(cp: ClassPartition):
     ci = _class_index(cp)
     delta, tau = delta_tau(cp.gt)
     family = _e_pairs(cp.gt)
-    for sub in _subsets_in_order(cp.S):
-        # P(lam)_0: sub meets S_0(lam) evenly
-        if (ci.mask(sub) & ci.s0).bit_count() % 2:
-            continue
+    for sub in _p0_subsets(cp):
         core = _gamma_core(ci, sub)
         if core is None:
             yield sub, None, None, False

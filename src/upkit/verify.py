@@ -93,8 +93,9 @@ def check_js(gt: GroupType) -> int:
     for cp in enumerate_classes(gt):
         chains = {z: merge_chains(cp, z) for z in zs}
         for J in _subsets_in_order(block_structure(cp).J_set):
+            inside = tempered_intersection(cp, J)
             for z in zs:
-                for eps in tempered_intersection(cp, z, J):
+                for eps in inside:
                     # a chain raises MalformedOutput when it misses
                     # near_tempered_table(cp, J, z)
                     m, ao, p = chains[z](eps, J)

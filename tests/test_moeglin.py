@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from upkit import verify
 from upkit.components import CharFn, block_structure, char_group
 from upkit.errors import BoundExceeded, MoveNotApplicable, NotInJ
 from upkit.moeglin import (
@@ -14,7 +15,6 @@ from upkit.moeglin import (
     gamma,
     merge_chain,
     merge_move,
-    moeglin_param_of_tempered,
     moeglin_params,
     standard_order,
     tempered_intersection,
@@ -265,7 +265,7 @@ def test_arthur_s_plus_normalization():
 
 def test_arthur_repeated_entry_reads_lowest_index():
     cp = B("3,3,1")
-    m, ao, p = moeglin_param_of_tempered(cp, CharFn(cp, frozenset({3})))
+    m, ao, p = merge_chain(cp, CharFn(cp, frozenset({3})), ())
     assert m.entries == ((1, 1), (3, 1), (3, 1))
     ch = arthur_character(ao, p)
     assert ch.subset == frozenset({(3, 1)})
@@ -334,7 +334,7 @@ def test_merge_move_rejections():
 
 def test_merge_move_phantom():
     cp = C("2,2")
-    m, ao, p = moeglin_param_of_tempered(cp, CharFn(cp, frozenset({2})))
+    m, ao, p = merge_chain(cp, CharFn(cp, frozenset({2})), ())
     assert m.entries == ((2, 1), (2, 1))
     m2, ao2, p2 = merge_move(ao, p, 0)
     assert m2.entries == ((1, 2), (2, 1))
@@ -375,7 +375,7 @@ def applicable_merges(ao, p):
 
 def test_applicable_moves_tempered_merges():
     cp = B("5,3,1")
-    m, ao, p = moeglin_param_of_tempered(cp, CharFn(cp, frozenset({1, 5})))
+    m, ao, p = merge_chain(cp, CharFn(cp, frozenset({1, 5})), ())
     found = applicable_merges(ao, p)
     assert sorted(found) == [1, 2]
     assert found[1][0].entries == ((2, 2), (5, 1))
@@ -384,7 +384,7 @@ def test_applicable_moves_tempered_merges():
 
 def test_applicable_moves_phantom_slot():
     cp = C("2,2")
-    m, ao, p = moeglin_param_of_tempered(cp, CharFn(cp, frozenset({2})))
+    m, ao, p = merge_chain(cp, CharFn(cp, frozenset({2})), ())
     found = applicable_merges(ao, p)
     assert sorted(found) == [0]
     assert found[0][0].entries == ((1, 2), (2, 1))
@@ -394,26 +394,24 @@ def test_applicable_moves_phantom_slot():
 
 def test_tempered_intersection_fixture():
     cp = B("5,3,1")
-    hit = tempered_intersection(cp, 1, {4})
+    hit = tempered_intersection(cp, {4})
     assert {eps.subset for eps in hit} == {frozenset({1, 3}), frozenset({1, 5})}
-    assert len(tempered_intersection(cp, 1, set())) == 4
+    assert len(tempered_intersection(cp, set())) == 4
     with pytest.raises(NotInJ):
-        tempered_intersection(cp, 1, {2})
-    with pytest.raises(ValueError):
-        tempered_intersection(cp, -1, {4})  # no center for s = +1
+        tempered_intersection(cp, {2})
 
 
 def test_param_of_tempered():
     cp = B("5,3,1")
-    m, ao, p = moeglin_param_of_tempered(cp, CharFn(cp, frozenset({1, 3})))
+    m, ao, p = merge_chain(cp, CharFn(cp, frozenset({1, 3})), ())
     assert m == tempered_table(cp)
     assert ao.standard
     assert [p.eta_of(i) for i in m.gp_indices] == [-1, -1, 1]
     assert arthur_character(ao, p).subset == {(1, 1), (3, 1)}
     with pytest.raises(ValueError):
-        moeglin_param_of_tempered(cp, CharFn(cp, frozenset({1})))  # not in P_0
+        merge_chain(cp, CharFn(cp, frozenset({1})), ())  # not in P_0
     with pytest.raises(ValueError):
-        moeglin_param_of_tempered(cp, CharFn(B("3,3,1"), frozenset({3})))
+        merge_chain(cp, CharFn(B("3,3,1"), frozenset({3})), ())
 
 
 # ------------------------------------------------------------ merge chain
@@ -440,7 +438,7 @@ def test_merge_chain_rejects_outsiders():
 
 def test_merge_chain_phantom():
     cp = C("2,2")
-    inside = tempered_intersection(cp, 1, {1})
+    inside = tempered_intersection(cp, {1})
     assert [eps.subset for eps in inside] == [frozenset({2})]
     m, ao, p = merge_chain(cp, CharFn(cp, frozenset({2})), {1})
     assert m.entries == ((1, 2), (2, 1))
@@ -481,7 +479,7 @@ def test_merge_chain_round_trip():
         for J in subsets(J_all):
             for z in zs:
                 target = near_tempered_table(cp, J, z)
-                inside = tempered_intersection(cp, z, J)
+                inside = tempered_intersection(cp, J)
                 for eps in char_group(cp):
                     if eps not in inside:
                         with pytest.raises(MoveNotApplicable):
@@ -585,3 +583,18 @@ def test_switch_sign_propagation():
                             if p.eta_of(prv) != p.eta_of(i):
                                 continue
                             assert ch.sign((a + 1, 1)) == -p.eta_of(i)
+
+
+def test_js_builds_one_intersection_per_J(monkeypatch):
+    # the intersection is the same at both central characters, so the js
+    # suite builds it once per (class, J): 18 on C8, where z runs over 1, -1
+    calls = []
+    real = verify.tempered_intersection
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "tempered_intersection", counted)
+    assert verify.check_js(GroupType(-1, 8)) == 48
+    assert len(calls) == len(set(calls)) == 18

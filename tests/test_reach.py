@@ -51,7 +51,6 @@ KEPT = {
     # wraps merge_chain and the enumeration by name
     "single-call routes": {
         "moeglin.merge_chain",
-        "moeglin.moeglin_param_of_tempered",
         "params.enumerate_lparams_with_inf_char",
     },
     # perfbench/tracing.py wraps these by name (tests/test_trace_targets.py)
