@@ -11,12 +11,14 @@ since only the ``summary`` record gives one.  ``UPKIT_MAX_N`` caps
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from collections import Counter
 
 from .components import (
+    CLASS_CACHE_SIZE,
     CharFn,
     _within_J,
     block_structure,
@@ -75,6 +77,16 @@ _ENCODERS = {
 
 def _emit(obj, pretty: bool) -> None:
     print(_ENCODERS[pretty].encode(obj))
+
+
+# The output text of class-info, weak-packet and membership without --J:
+# ``records(cp, *options)`` encoded one record a line, kept per class so
+# that a revisit prints it again without building or encoding a record.
+# The commands run their gates before asking, and a record builder that
+# raises leaves no entry, so a refusal is never cached.
+@functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
+def _listing(records, pretty: bool, cp, *options) -> str:
+    return "\n".join(map(_ENCODERS[pretty].encode, records(cp, *options)))
 
 
 # what str.splitlines breaks at, escaped so that every message is one line
@@ -141,54 +153,52 @@ def _check_a_dagger(args) -> None:
 
 def cmd_class_info(args) -> int:
     _check_a_dagger(args)
-    cp = args.cp
-    bs = block_structure(cp)
-    _emit(
-        {
-            "A0_size": char_group_order(cp),
-            "A_dagger": [sorted(e.subset) for e in canonical_subgroup(cp)],
-            "A_dagger_signs": [e.to_text() for e in canonical_subgroup(cp)],
-            "I": sorted(bs.I_set),
-            "J": sorted(bs.J_set),
-            "S": list(cp.S),
-            "S0": list(cp.S0),
-            "Spc": [mu.lam.to_text() for _, mu in special_piece(cp)],
-            "blocks": [list(b) for b in bs.blocks],
-            "d": bvls_dual(cp).lam.to_text(),
-            "dual": cp.gt.letter,
-            "partition": cp.lam.to_text(),
-            "special": bs.special,
-        },
-        args.pretty,
-    )
+    print(_listing(_class_info_records, args.pretty, args.cp))
     return EXIT_OK
+
+
+def _class_info_records(cp):
+    bs = block_structure(cp)
+    yield {
+        "A0_size": char_group_order(cp),
+        "A_dagger": [sorted(e.subset) for e in canonical_subgroup(cp)],
+        "A_dagger_signs": [e.to_text() for e in canonical_subgroup(cp)],
+        "I": sorted(bs.I_set),
+        "J": sorted(bs.J_set),
+        "S": list(cp.S),
+        "S0": list(cp.S0),
+        "Spc": [mu.lam.to_text() for _, mu in special_piece(cp)],
+        "blocks": [list(b) for b in bs.blocks],
+        "d": bvls_dual(cp).lam.to_text(),
+        "dual": cp.gt.letter,
+        "partition": cp.lam.to_text(),
+        "special": bs.special,
+    }
 
 
 def cmd_weak_packet(args) -> int:
     _check_a_dagger(args)
-    rows = weak_packet(args.cp, args.z)
-    for row in rows:
-        _emit(
-            {
-                "J": sorted(row.J),
-                "lpacket_size": row.lpacket_size,
-                "mu": row.mu.lam.to_text(),
-                "phi": row.phi.to_json(),
-                "record": "lpacket",
-                "table": row.table.to_json(),
-            },
-            args.pretty,
-        )
-    _emit(
-        {
-            "lpacket_sizes": [r.lpacket_size for r in rows],
-            "packets": len(rows),
-            "record": "summary",
-            "total": sum(r.lpacket_size for r in rows),
-        },
-        args.pretty,
-    )
+    print(_listing(_weak_packet_records, args.pretty, args.cp, args.z))
     return EXIT_OK
+
+
+def _weak_packet_records(cp, z):
+    rows = weak_packet(cp, z)
+    for row in rows:
+        yield {
+            "J": sorted(row.J),
+            "lpacket_size": row.lpacket_size,
+            "mu": row.mu.lam.to_text(),
+            "phi": row.phi.to_json(),
+            "record": "lpacket",
+            "table": row.table.to_json(),
+        }
+    yield {
+        "lpacket_sizes": [r.lpacket_size for r in rows],
+        "packets": len(rows),
+        "record": "summary",
+        "total": sum(r.lpacket_size for r in rows),
+    }
 
 
 def cmd_membership(args) -> int:
@@ -209,14 +219,15 @@ def cmd_membership(args) -> int:
             args.pretty,
         )
         return EXIT_OK
-    hits = packets_containing(args.cp, args.eps, args.z)
-    for J, table in hits:
-        _emit(
-            {"J": sorted(J), "record": "packet", "table": table.to_json()},
-            args.pretty,
-        )
-    _emit({"count": len(hits), "record": "summary"}, args.pretty)
+    print(_listing(_membership_records, args.pretty, args.cp, args.eps, args.z))
     return EXIT_OK
+
+
+def _membership_records(cp, eps, z):
+    hits = packets_containing(cp, eps, z)
+    for J, table in hits:
+        yield {"J": sorted(J), "record": "packet", "table": table.to_json()}
+    yield {"count": len(hits), "record": "summary"}
 
 
 def cmd_springer(args) -> int:

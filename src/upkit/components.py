@@ -132,9 +132,10 @@ class BlockStructure:
 # that revisit classes: `verify --suite all --maxN 16` builds 455 block
 # structures and 394 piece cubes, the 1,200 single-class queries of the
 # `queries` benchmark (seed 7) 467 block structures, 362 piece cubes and
-# 201 weak packets.  A piece-cube or weak-packet entry holds 2^|J(lam)|
-# members or rows.  The theoremC and firstrow sweeps, which visit each
-# class once, read none of these caches.
+# 666 listings.  A piece-cube entry holds 2^|J(lam)| members, a listing
+# of weak-packet or membership the text of as many records.  The theoremC
+# and firstrow sweeps, which visit each class once, read none of these
+# caches.
 CLASS_CACHE_SIZE = 1024
 
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from operator import index, itemgetter
 
 from .components import (
-    CLASS_CACHE_SIZE,
     _check_canonical,
     _neighbours,
     _subsets_in_order,
@@ -248,15 +247,12 @@ class WeakPacketRow:
     lpacket_size: int
 
 
-# typed, so that a z of another type than int (1.0, True) is a key of its
-# own and meets the integer rule instead of a row built for the int
-@functools.lru_cache(maxsize=CLASS_CACHE_SIZE, typed=True)
 def weak_packet(cp: ClassPartition, z: int = 1) -> tuple[WeakPacketRow, ...]:
     """The decomposition rows of the weak packet attached to lam.
 
     One row per member mu = T_down(lam, J) of the piece cube; the
-    L-packet sizes |P(mu)_0| sum to the weak packet cardinality.  Cached
-    per class and z, so the tuple is shared between callers.
+    L-packet sizes |P(mu)_0| sum to the weak packet cardinality.  Built
+    on every call; the CLI keeps its encoded listing instead.
     """
     rows = []
     for J, mu in special_piece(cp):

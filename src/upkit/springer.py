@@ -121,6 +121,13 @@ class SpringerIndexData:
         """epsbar(i) for 0 <= i <= ell, with the ebar(0) := -1 convention."""
         return -1 if i == 0 else self.epsbar[i - 1]
 
+    @functools.cached_property
+    def _index(self) -> "_ClassIndex":
+        """The index data of lam, which :func:`springer_data` builds once
+        and keeps in ``__dict__``, out of the fields that equality,
+        hashing and ``repr`` read."""
+        return _class_index(self.base)
+
 
 class _ClassIndex(NamedTuple):
     """The part of the index data that depends on lam alone.
@@ -241,7 +248,7 @@ def springer_data(cp: ClassPartition, eps: CharFn) -> SpringerIndexData:
         )
     ci = _class_index(cp)
     ebar, e_plus, e_minus = _signs(cp.lam, eps.subset)
-    return SpringerIndexData(
+    sd = SpringerIndexData(
         base=cp,
         eps=eps,
         epsbar=tuple(ebar),
@@ -252,13 +259,16 @@ def springer_data(cp: ClassPartition, eps: CharFn) -> SpringerIndexData:
         S_max=ci.S_max,
         S_min=ci.S_min,
     )
+    # the value of sd._index, so that no later step builds the index again
+    object.__setattr__(sd, "_index", ci)
+    return sd
 
 
 def defect(sd: SpringerIndexData, i: int) -> int:
     """D_eps(i); the index 0 uses the lam_0 > lam_1 convention."""
     if not 0 <= i <= sd.ell:
         raise ValueError(f"index {i} outside 0..{sd.ell}")
-    return _defects(_class_index(sd.base), sd.eps.subset)[i]
+    return _defects(sd._index, sd.eps.subset)[i]
 
 
 def _defects(ci: _ClassIndex, sub) -> list[int]:
@@ -373,7 +383,7 @@ def _checked_core(sd: SpringerIndexData):
         raise ValueError(
             f"{sd.eps!r} lies outside P(lam)_0; gamma is derived there"
         )
-    ci = _class_index(sd.base)
+    ci = sd._index
     core = _gamma_core(ci, sd.eps.subset)
     if core is None:
         d0 = _defects(ci, sd.eps.subset)[0]

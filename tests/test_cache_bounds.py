@@ -14,7 +14,9 @@ import pkgutil
 import pytest
 
 import upkit
-from upkit.cli import main
+import upkit.cli
+import upkit.params
+from upkit.cli import _listing, main
 from upkit.components import CLASS_CACHE_SIZE
 from upkit.params import weak_packet
 from upkit.pieces import special_piece
@@ -37,7 +39,7 @@ CLASS_KEYED = {
     "upkit.components.canonical_subgroup",
     "upkit.pieces.bvls_dual",
     "upkit.pieces.special_piece",
-    "upkit.params.weak_packet",
+    "upkit.cli._listing",
 }
 
 
@@ -71,26 +73,63 @@ def test_sweeps_read_no_class_keyed_cache():
     assert sizes == dict.fromkeys(CLASS_KEYED, 0)
 
 
-def test_a_revisit_reads_the_cached_cube_and_rows(cold_class_caches):
+def _run(queries):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        codes = [main(argv) for argv in queries]
+    return codes, out.getvalue(), err.getvalue()
+
+
+def test_a_revisit_reads_the_cached_listing(cold_class_caches, monkeypatch):
     queries = [
         ["weak-packet", "--dual", "B", "--partition", "9,7,5,3,1"],
         ["class-info", "--dual", "B", "--partition", "9,7,5,3,1"],
+        ["membership", "--dual", "B", "--partition", "9,7,5,3,1", "--eps", "{1,3}"],
     ]
+    calls = []
 
-    def run_all():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert [main(argv) for argv in queries] == [0, 0]
-        return out.getvalue()
+    def counted(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
 
-    first = run_all()
-    before = {fn: fn.cache_info() for fn in (special_piece, weak_packet)}
-    assert run_all() == first
-    for fn, info in before.items():
-        after = fn.cache_info()
-        assert after.hits > info.hits and after.misses == info.misses, fn
+        return wrapper
+
+    # every namespace the listings reach the cube and the rows through
+    for module, name in [
+        (upkit.cli, "special_piece"),
+        (upkit.cli, "weak_packet"),
+        (upkit.params, "special_piece"),
+    ]:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+
+    first = _run(queries)
+    assert first[0] == [0, 0, 0] and first[2] == ""
+    assert {"special_piece", "weak_packet"} <= set(calls)
+    calls.clear()
+    assert _run(queries) == first
+    # the second run prints the cached text and builds no cube or row
+    assert calls == []
+    assert _listing.cache_info().currsize == len(queries)
     cp = upkit.classify(upkit.Partition((9, 7, 5, 3, 1)), upkit.GroupType(1, 25))
-    assert type(special_piece(cp)) is tuple and type(weak_packet(cp)) is tuple
-    # a warm entry for z = 1 does not let z = 1.0 past the integer rule
+    # the cached cube is shared between callers, so it is a tuple
+    assert type(special_piece(cp)) is tuple
+    # with the listing warm for z = 1, z = 1.0 still meets the integer rule
     with pytest.raises(TypeError):
         weak_packet(cp, 1.0)
+
+
+def test_a_refusal_is_never_cached(cold_class_caches):
+    stair35 = ",".join(str(v) for v in range(69, 0, -2))
+    refused = [
+        # above cli.A_DAGGER_BOUND, refused before the listing is asked
+        ["class-info", "--dual", "B", "--partition", stair35],
+        ["weak-packet", "--dual", "B", "--partition", stair35],
+        # NotCanonical, raised while the listing is built
+        ["membership", "--dual", "B", "--partition", "5,3,1", "--eps", "{1,5}"],
+    ]
+    for argv in refused:
+        first = _run([argv])
+        assert first[0] == [3] and first[1] == "" and first[2].startswith("upkit: "), argv
+        assert _run([argv]) == first, argv
+        assert _listing.cache_info().currsize == 0, argv

@@ -1,11 +1,13 @@
 """The CLI's output, byte for byte, on a fixed set of fast commands.
 
 A refactor is judged by output that stays byte-identical.  Each command
-below runs through ``cli.main`` in-process; the sha256 of its stdout, the
+below runs through ``cli.main`` in-process twice, first with every upkit
+cache cleared and then warm; both times the sha256 of its stdout, the
 sha256 of its stderr and its exit code must equal the recorded values.
-The set covers every subcommand, a failed domain check, two usage errors
-and the ``class-info`` refusal above ``cli.A_DAGGER_BOUND``.  A change
-that alters output on purpose re-records the rows it alters.
+The set covers every subcommand, ``--pretty``, two failed domain checks,
+two usage errors and the ``class-info`` refusal above
+``cli.A_DAGGER_BOUND``.  A change that alters output on purpose
+re-records the rows it alters.
 
 The module needs no pytest, so the same check runs under an interpreter
 without it: ``python -c "import test_cli_golden as t;
@@ -14,8 +16,11 @@ t.test_cli_output_is_unchanged()"`` with ``src`` and ``tests`` on the path.
 
 import contextlib
 import hashlib
+import importlib
 import io
+import pkgutil
 
+import upkit
 from upkit.cli import main
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -121,6 +126,30 @@ GOLDEN = [
         0,
     ),
     (
+        f"weak-packet --dual B --partition {STAIR15}",
+        "806da6c617ee1ff6a97cf2d2f7756be68a2372f11a69ef31b609a8cd4d55dcf3",
+        EMPTY,
+        0,
+    ),
+    (
+        "class-info --dual B --partition 9,7,5,3,1 --pretty",
+        "59c756c688b5a2488799461e6db5d57133ea5c38feda0ee2f6ab288f19b897f7",
+        EMPTY,
+        0,
+    ),
+    (
+        "weak-packet --dual C --partition 6,4,2 --z -1 --pretty",
+        "18d939b994af050688a3cf53d3b749f3614b3fc614e14e38eb96e932b001ed79",
+        EMPTY,
+        0,
+    ),
+    (
+        "membership --dual B --partition 5,3,1 --eps {1,5}",
+        EMPTY,
+        "8734938b04ffd7e6acb9dac8c5413b482e5b19f20f74518061ede129f3707b4d",
+        3,
+    ),
+    (
         "classes --dual C --N 1_0",
         EMPTY,
         "4a62d60f954e363af10c7bd3a44a96fb0bb4fc43880f3ef521c3c813f35b7fba",
@@ -149,8 +178,21 @@ def _run(argv) -> tuple[str, str, int]:
     return _sha(out.getvalue()), _sha(err.getvalue()), code
 
 
+def _clear_caches() -> None:
+    """Clear every module-level lru_cache in upkit."""
+    for info in pkgutil.iter_modules(upkit.__path__, "upkit."):
+        for value in vars(importlib.import_module(info.name)).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
 def test_cli_output_is_unchanged():
-    changed = [argv for argv, *want in GOLDEN if _run(argv.split()) != tuple(want)]
+    changed = []
+    for argv, *want in GOLDEN:
+        _clear_caches()
+        for run in ("cold", "warm"):
+            if _run(argv.split()) != tuple(want):
+                changed.append((argv, run))
     # raised, not asserted, so that the check also fails under python -O
     if changed:
         raise AssertionError(changed)

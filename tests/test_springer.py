@@ -1,6 +1,10 @@
+import contextlib
+import io
+
 import pytest
 
 import upkit.springer
+from upkit.cli import main
 from upkit.components import (
     CharFn,
     block_structure,
@@ -372,6 +376,30 @@ def test_defect_index_range():
         defect(d, -1)
     with pytest.raises(ValueError):
         defect(d, 4)
+
+
+def test_one_class_index_per_query(monkeypatch):
+    # springer_data keeps the index it builds on its result, so defect,
+    # gamma_seq and the sphericity decision build no second one
+    builds = []
+    real = upkit.springer._class_index
+
+    def counted(cp):
+        builds.append(cp)
+        return real(cp)
+
+    monkeypatch.setattr(upkit.springer, "_class_index", counted)
+    queries = [
+        ("springer --dual B --partition 5,3,1 --eps=--+", 0),
+        ("springer --dual B --partition 5,3,1 --eps {1}", 3),
+        ("sphericity --dual B --partition 5,3,1 --eps=-+-", 0),
+        ("sphericity --dual C --partition 6,4,4,3,3,2", 0),
+    ]
+    for argv, code in queries:
+        builds.clear()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv.split()) == code, argv
+        assert len(builds) == 1, argv
 
 
 def test_springer_type():
