@@ -59,6 +59,10 @@ EXIT_VERIFY = 4
 # more parts multiply the count, and the time, by four.
 A_DAGGER_BOUND = 2**12
 
+# The most output text (ASCII JSON) the listing cache holds, in bytes; the
+# weak-packet listing of B 49,47,...,1 alone is 4,134,655 bytes.
+LISTING_BYTES = 2**25
+
 
 def _max_n_cap() -> int:
     raw = os.environ.get("UPKIT_MAX_N", "")
@@ -83,10 +87,26 @@ def _emit(obj, pretty: bool) -> None:
 # ``records(cp, *options)`` encoded one record a line, kept per class so
 # that a revisit prints it again without building or encoding a record.
 # The commands run their gates before asking, and a record builder that
-# raises leaves no entry, so a refusal is never cached.
+# raises leaves no entry, so a refusal is never cached.  The text built
+# since the cache was last emptied bounds the text it holds.
+_listed_bytes = 0
+
+
 @functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
 def _listing(records, pretty: bool, cp, *options) -> str:
-    return "\n".join(map(_ENCODERS[pretty].encode, records(cp, *options)))
+    global _listed_bytes
+    text = "\n".join(map(_ENCODERS[pretty].encode, records(cp, *options)))
+    _listed_bytes += len(text)
+    return text
+
+
+def _print_listing(records, pretty: bool, cp, *options) -> None:
+    """Print the listing; empty the cache if it may hold over LISTING_BYTES."""
+    global _listed_bytes
+    print(_listing(records, pretty, cp, *options))
+    if _listed_bytes > LISTING_BYTES:
+        _listing.cache_clear()
+        _listed_bytes = 0
 
 
 # what str.splitlines breaks at, escaped so that every message is one line
@@ -153,7 +173,7 @@ def _check_a_dagger(args) -> None:
 
 def cmd_class_info(args) -> int:
     _check_a_dagger(args)
-    print(_listing(_class_info_records, args.pretty, args.cp))
+    _print_listing(_class_info_records, args.pretty, args.cp)
     return EXIT_OK
 
 
@@ -178,7 +198,7 @@ def _class_info_records(cp):
 
 def cmd_weak_packet(args) -> int:
     _check_a_dagger(args)
-    print(_listing(_weak_packet_records, args.pretty, args.cp, args.z))
+    _print_listing(_weak_packet_records, args.pretty, args.cp, args.z)
     return EXIT_OK
 
 
@@ -219,7 +239,7 @@ def cmd_membership(args) -> int:
             args.pretty,
         )
         return EXIT_OK
-    print(_listing(_membership_records, args.pretty, args.cp, args.eps, args.z))
+    _print_listing(_membership_records, args.pretty, args.cp, args.eps, args.z)
     return EXIT_OK
 
 

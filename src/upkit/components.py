@@ -73,9 +73,11 @@ class CharFn:
 
     @classmethod
     def from_text(cls, cp: ClassPartition, text: str) -> "CharFn":
-        """Parse a sign string ``(--+)`` or an explicit set ``{1,3}``."""
-        body = text.strip().strip("()")
-        if body and all(ch in "+-−" for ch in body):
+        """Parse a sign string ``(--+)`` or an explicit set ``{1,3}``;
+        ``()`` is the sign string of an empty S(lam)."""
+        text = text.strip()
+        body = text.strip("()")
+        if (body or body != text) and all(ch in "+-−" for ch in body):
             signs = body.replace("−", "-")
             if len(signs) != len(cp.S):
                 raise ValueError(
@@ -109,23 +111,27 @@ class BlockStructure:
 
     ``classes[i]`` lists the S-values of the i-th class, ascending;
     classes are disjoint, consecutive in sorted S(lam), and ordered.
-    ``ranges[i]`` is the (lo, hi) value range after grounding/ceiling,
-    ``blocks[i]`` the sub-multiset of lam it cuts out.  ``kinds[i]`` is
-    one of "pair", "tail", "ground", "single".
+    ``ranges[i]`` is the (lo, hi) value range after grounding/ceiling and
+    ``blocks[i]`` the sub-multiset of lam in it; ``admissible`` lists the
+    admissible classes that J(lam) is read off.
     """
 
     cp: ClassPartition
     classes: tuple[tuple[int, ...], ...]
-    kinds: tuple[str, ...]
     ranges: tuple[tuple[int, int], ...]
-    blocks: tuple[Partition, ...]
-    admissible: tuple[bool, ...]
+    admissible: tuple[tuple[int, ...], ...]
     I_set: frozenset[int]
     J_set: frozenset[int]
 
     @property
     def special(self) -> bool:
         return not self.I_set
+
+    @functools.cached_property
+    def blocks(self) -> tuple[Partition, ...]:
+        """Cut on first read, since only ``class-info`` lists them; kept in
+        ``__dict__``, out of the fields that equality and ``repr`` read."""
+        return tuple(self.cp.lam.interval(lo, hi) for lo, hi in self.ranges)
 
 
 # The bound on every class-keyed cache.  It holds every class of the runs
@@ -170,38 +176,35 @@ def block_classes(cp: ClassPartition) -> tuple[tuple[int, ...], ...]:
 
 @functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
 def block_structure(cp: ClassPartition) -> BlockStructure:
-    """Compute the canonical classes, blocks, I(lam) and J(lam)."""
-    lam = cp.lam
+    """Compute the canonical classes, their ranges, I(lam) and J(lam)."""
     s0 = set(cp.S0)
     classes = block_classes(cp)
-    odd = "tail" if cp.gt.s == 1 else "ground"
-    kinds = tuple(("single", odd, "pair")[len(s0.intersection(theta))] for theta in classes)
-    ranges = tuple(
-        (1 if kind == "ground" else theta[0], lam[0] if kind == "tail" else theta[-1])
-        for theta, kind in zip(classes, kinds)
-    )
-    blocks = tuple(lam.interval(lo, hi) for lo, hi in ranges)
-
-    bad = lambda v: not cp.gt.good_parity(v)  # noqa: E731
-    I_set = frozenset(v for blk in blocks for v in blk.supp if bad(v))
+    ranges = [(theta[0], theta[-1]) for theta in classes]
+    if len(s0) % 2:
+        # the one class meeting S_0 in one value: the ground class opens
+        # S(lam) and is grounded at 1, the tail closes it and is ceiled at lam_1
+        if cp.gt.s == 1:
+            ranges[-1] = (ranges[-1][0], cp.lam[0])
+        else:
+            ranges[0] = (1, ranges[0][1])
+    # the bad-parity values of lam are those of bp
+    I_set = frozenset(v for v in set(cp.bp) if any(lo <= v <= hi for lo, hi in ranges))
 
     # theta is admissible when theta_min - 2 tops some class, or when it
     # starts at 2 and holds more than one value exactly when 2 is in S_0
     tops = {theta[-1] for theta in classes}
     admissible = tuple(
-        theta[0] - 2 in tops or (theta[0] == 2 and (2 in s0) == (len(theta) > 1))
+        theta
         for theta in classes
+        if theta[0] - 2 in tops or (theta[0] == 2 and (2 in s0) == (len(theta) > 1))
     )
-    J_set = frozenset(theta[0] - 1 for theta, ok in zip(classes, admissible) if ok)
     return BlockStructure(
         cp=cp,
         classes=classes,
-        kinds=kinds,
-        ranges=ranges,
-        blocks=blocks,
+        ranges=tuple(ranges),
         admissible=admissible,
         I_set=I_set,
-        J_set=J_set,
+        J_set=frozenset(theta[0] - 1 for theta in admissible),
     )
 
 
@@ -350,23 +353,14 @@ def _iota_step(src: ClassPartition, dst: ClassPartition, c: int, eps: CharFn) ->
     """Single-move embedding along mu = T_{c}(lam): the two dst-classes
     meeting c-1 and c+1 have merged in src; every dst-class reads its
     value off any of its members that survived into S(src)."""
-    bs = block_structure(dst)
     s_src = set(src.S)
-    merged = _neighbours(c)
-    survivors = sorted(
-        v
-        for i, theta in enumerate(bs.classes)
-        if any(m in theta for m in merged)
-        for v in theta
-        if v in s_src
-    )
+    classes = block_structure(dst).classes
+    merged = [theta for theta in classes if any(m in theta for m in _neighbours(c))]
+    # the merged classes read their value off the least survivor of either
+    shared = min(v for theta in merged for v in theta if v in s_src)
     out = set()
-    for theta in bs.classes:
-        if any(m in theta for m in merged):
-            witness = survivors[0]
-        else:
-            alive = [v for v in theta if v in s_src]
-            witness = alive[0]
+    for theta in classes:
+        witness = shared if theta in merged else min(v for v in theta if v in s_src)
         if eps.indicator(witness):
             out.update(theta)
     return CharFn(dst, frozenset(out))

@@ -23,10 +23,10 @@ special partitions and its fibers are the special pieces.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .components import (
     CLASS_CACHE_SIZE,
+    BlockStructure,
     _subsets_in_order,
     _t_down_raw,
     _t_up_raw,
@@ -43,7 +43,6 @@ from .partitions import (
 )
 
 __all__ = [
-    "PieceData",
     "piece_data",
     "is_special",
     "T_down",
@@ -55,22 +54,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PieceData:
-    """The move data attached to a class: I(lam), J(lam), and the
-    admissible classes (as value tuples) that J(lam) is read off from."""
-
-    I: frozenset[int]
-    J: frozenset[int]
-    admissible: tuple[tuple[int, ...], ...]
-
-
-def piece_data(cp: ClassPartition) -> PieceData:
-    bs = block_structure(cp)
-    adm = tuple(
-        theta for theta, ok in zip(bs.classes, bs.admissible) if ok
-    )
-    return PieceData(I=bs.I_set, J=bs.J_set, admissible=adm)
+def piece_data(cp: ClassPartition) -> BlockStructure:
+    """The move data of a class, I(lam), J(lam) and the admissible classes:
+    its :class:`~upkit.components.BlockStructure`."""
+    return block_structure(cp)
 
 
 def is_special(cp: ClassPartition) -> bool:
@@ -119,17 +106,10 @@ def collapse(lam: Partition, gt: GroupType) -> Partition:
     """
     parts = list(lam)
     while True:
-        bad = sorted(
-            (
-                v
-                for v in set(parts)
-                if not gt.good_parity(v) and parts.count(v) % 2 == 1
-            ),
-            reverse=True,
-        )
+        bad = [v for v in set(parts) if not gt.good_parity(v) and parts.count(v) % 2]
         if not bad:
             return Partition(parts)
-        q = bad[0]
+        q = max(bad)
         parts.remove(q)
         if q - 1 > 0:
             parts.append(q - 1)

@@ -78,7 +78,7 @@ def check_spc(gt: GroupType) -> int:
     """The special piece of lam has 2^|J| distinct members."""
     checked = 0
     for cp in enumerate_classes(gt):
-        if len({mu for _, mu in special_piece(cp)}) != 2 ** len(piece_data(cp).J):
+        if len({mu for _, mu in special_piece(cp)}) != 2 ** len(piece_data(cp).J_set):
             raise VerificationFailed(f"{_at(cp)}: special piece is not 2^|J|")
         checked += 1
     return checked

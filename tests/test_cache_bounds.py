@@ -119,6 +119,33 @@ def test_a_revisit_reads_the_cached_listing(cold_class_caches, monkeypatch):
         weak_packet(cp, 1.0)
 
 
+def test_the_listing_cache_holds_at_most_its_bytes(cold_class_caches, monkeypatch):
+    gt = upkit.GroupType(-1, 16)
+    queries = [
+        [command, "--dual", "C", "--partition", cp.lam.to_text()]
+        for cp in list(upkit.enumerate_classes(gt))[:12]
+        for command in ("class-info", "weak-packet")
+    ]
+    small = len(queries)
+    # a listing above the bound, then revisits of the first few
+    queries += [["weak-packet", "--dual", "B", "--partition", "13,11,9,7,5,3,1"]] + queries[:6]
+    want = [_run([argv]) for argv in queries]
+    sizes = [len(out) - 1 for _, out, _ in want]
+    cap = 2 * max(sizes[:small])
+    assert sizes[small] > cap and sum(sizes[:small]) > 3 * cap
+    _listing.cache_clear()
+    monkeypatch.setattr(upkit.cli, "LISTING_BYTES", cap)
+    monkeypatch.setattr(upkit.cli, "_listed_bytes", 0)
+    emptied = 0
+    for argv, expected in zip(queries, want):
+        held = _listing.cache_info().currsize
+        assert _run([argv]) == expected, argv
+        # what the cache counts is at least what it holds
+        assert upkit.cli._listed_bytes <= cap, argv
+        emptied += _listing.cache_info().currsize < held
+    assert emptied >= 3
+
+
 def test_a_refusal_is_never_cached(cold_class_caches):
     stair35 = ",".join(str(v) for v in range(69, 0, -2))
     refused = [

@@ -52,6 +52,24 @@ def test_classes_b9_count(capsys):
     assert first == {"I": [], "J": [], "partition": "9", "special": True}
 
 
+def test_only_class_info_cuts_blocks(capsys, monkeypatch, cold_class_caches):
+    calls = []
+    interval = Partition.interval
+
+    def counted(lam, a, b):
+        calls.append((a, b))
+        return interval(lam, a, b)
+
+    monkeypatch.setattr(Partition, "interval", counted)
+    code, lines = run(capsys, "classes", "--dual", "C", "--N", "12")
+    assert code == 0 and len(lines) == 40
+    assert calls == []
+    code, lines = run(capsys, "class-info", "--dual", "B", "--partition", "9,7,5,3,1")
+    assert code == 0
+    assert json.loads(lines[0])["blocks"] == [[3, 1], [7, 5], [9]]
+    assert calls == [(1, 3), (5, 7), (9, 9)]
+
+
 def test_classes_parity_mismatch(capsys):
     code, _ = run(capsys, "classes", "--dual", "B", "--N", "8")
     assert code == 2
@@ -395,6 +413,10 @@ def test_bad_eps_length(capsys):
         "--eps=--",
     )
     assert code == 2
+    # "()" is a sign string of length 0, not the trivial character
+    code = main(["sphericity", "--dual", "B", "--partition", "5,3,1", "--eps", "()"])
+    assert code == 2
+    assert capsys.readouterr().err == "upkit: sign string length 0 != |S(lam)| = 3\n"
 
 
 @pytest.mark.parametrize(

@@ -36,6 +36,12 @@ GOLDEN = [
         0,
     ),
     (
+        "classes --dual C --N 40",
+        "4ca45efc113710d42f80deb09feda9ede2bab96b8a76fcf065364c2aea5de6b8",
+        EMPTY,
+        0,
+    ),
+    (
         "classes --dual B --N 25",
         "e005d58b26e551748dd3374c2f3f32d95ea7458ddc17561bc1c4963338ec78f0",
         EMPTY,

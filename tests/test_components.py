@@ -100,6 +100,8 @@ def _ref_spans(cp):
 
 
 def _ref_block_structure(cp):
+    """The block structure of cp and its blocks, cut here from the ranges
+    so that I(lam) is read off the blocks' supports."""
     lam = cp.lam
     s0 = set(cp.S0)
     classes = tuple(cp.S[p : q + 1] for p, q in _ref_spans(cp))
@@ -122,42 +124,55 @@ def _ref_block_structure(cp):
                 ok = 2 not in s0
             else:
                 ok = 2 in s0
-        admissible.append(ok)
-    J_set = frozenset(
-        classes[i][0] - 1 for i in range(len(classes)) if admissible[i]
-    )
-    return BlockStructure(
+        if ok:
+            admissible.append(theta)
+    J_set = frozenset(theta[0] - 1 for theta in admissible)
+    ref = BlockStructure(
         cp=cp,
         classes=classes,
-        kinds=kinds,
         ranges=ranges,
-        blocks=blocks,
         admissible=tuple(admissible),
         I_set=I_set,
         J_set=J_set,
     )
+    return ref, blocks
 
 
 def test_class_scan_matches_span_reference():
     # every class with N <= 30, uncached, against the span-and-sort builder
     for cp in both_types(30):
-        ref = _ref_block_structure(cp)
+        ref, blocks = _ref_block_structure(cp)
         assert block_classes(cp) == ref.classes, cp
-        assert block_structure.__wrapped__(cp) == ref, cp
+        bs = block_structure.__wrapped__(cp)
+        assert bs == ref, cp
+        # the blocks are no field, so equality does not read them
+        assert "blocks" not in bs.__dict__, cp
+        assert bs.blocks == blocks, cp
         even = sum(len(set(cp.S0).intersection(theta)) % 2 == 0 for theta in ref.classes)
         assert canonical_subgroup_order(cp) == 2**even, cp
 
 
-def test_tail_and_ground_kinds():
+def test_tail_and_ground_ranges():
+    # B 5,3,1: the pair {1, 3}, then the tail {5}, ceiled at lam_1 = 5
     bs = block_structure(B("5,3,1"))
-    assert bs.kinds == ("pair", "tail")
+    assert bs.classes == ((1, 3), (5,))
     assert bs.ranges == ((1, 3), (5, 5))
+    assert bs.blocks == ((3, 1), (5,))
+    # B 2,2,1: S = (1,) is the tail, ceiled at lam_1 = 2
     bs = block_structure(B("2,2,1"))
-    assert bs.kinds == ("tail",)
-    assert bs.ranges == ((1, 2),)  # ceiled at lam_1
+    assert bs.classes == ((1,),)
+    assert bs.ranges == ((1, 2),)
+    assert bs.blocks == ((2, 2, 1),)
+    # C 4,2,2: S = (2, 4) is the ground class, grounded at 1
     bs = block_structure(C("4,2,2"))
-    assert bs.kinds == ("ground",)
-    assert bs.ranges == ((1, 4),)  # grounded at 1
+    assert bs.classes == ((2, 4),)
+    assert bs.ranges == ((1, 4),)
+    assert bs.blocks == ((4, 2, 2),)
+    # C 4,3,3: the ground class {4}, grounded at 1, catches the bad-parity 3s
+    bs = block_structure(C("4,3,3"))
+    assert bs.ranges == ((1, 4),)
+    assert bs.blocks == ((4, 3, 3),)
+    assert bs.I_set == {3}
 
 
 def test_blocks_cover_lam_with_even_leftover():
@@ -305,6 +320,18 @@ def test_charfn_text():
         CharFn.from_text(cp, "(--)")
     with pytest.raises(ValueError):
         CharFn(cp, frozenset({2}))
+
+
+def test_charfn_empty_sign_string():
+    # "()" is a sign string of length 0, not the empty set
+    with pytest.raises(ValueError, match="sign string length 0 != "):
+        CharFn.from_text(B("5,3,1"), "()")
+    # and the text of the one character when S(lam) is empty
+    cp = C("1,1")
+    assert cp.S == ()
+    eps = CharFn.from_text(cp, " () ")
+    assert eps.subset == frozenset() and eps.to_text() == "()"
+    assert CharFn.from_text(B("5,3,1"), "{}").subset == frozenset()
 
 
 def test_charfn_parity():

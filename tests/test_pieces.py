@@ -92,6 +92,7 @@ def test_moves_transport_I_and_J():
 
 
 def test_piece_data_admissible_classes():
+    assert piece_data(B("5,3,1")) is block_structure(B("5,3,1"))
     assert piece_data(B("5,3,1")).admissible == ((5,),)
     assert piece_data(C("2,2")).admissible == ((2,),)
     assert piece_data(C("2,2,2")).admissible == ()
