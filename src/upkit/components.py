@@ -73,11 +73,21 @@ class CharFn:
 
     @classmethod
     def from_text(cls, cp: ClassPartition, text: str) -> "CharFn":
-        """Parse a sign string ``(--+)`` or an explicit set ``{1,3}``;
-        ``()`` is the sign string of an empty S(lam)."""
+        """Parse a sign string ``(--+)`` or an explicit set ``{1,3}``.
+
+        A sign string may be wrapped in one pair of parentheses and a set
+        in one pair of braces; ``()`` is the sign string of an empty
+        S(lam).  Parentheses anywhere else are refused with ValueError.
+        """
         text = text.strip()
-        body = text.strip("()")
-        if (body or body != text) and all(ch in "+-−" for ch in body):
+        wrapped = text[:1] == "(" and text[-1:] == ")"
+        body = text[1:-1] if wrapped else text
+        if "(" in body or ")" in body:
+            raise ValueError(f"unbalanced or doubled parentheses in {text!r}")
+        signs = all(ch in "+-−" for ch in body)
+        if wrapped and not signs:
+            raise ValueError(f"parentheses hold a sign string of + and -, not {text!r}")
+        if wrapped or (body and signs):
             signs = body.replace("−", "-")
             if len(signs) != len(cp.S):
                 raise ValueError(
@@ -222,11 +232,35 @@ def _subsets_in_order(S):
             yield frozenset(combo)
 
 
+def _s_bits(cp: ClassPartition) -> tuple[int, ...]:
+    """The S-index bit of each value of S(lam), ascending: bit j for the
+    j-th value.  A subset of S(lam) is read as the sum of the bits of its
+    values, its S-index bitmask; this is the one statement of that rule."""
+    return tuple(map((1).__lshift__, range(len(cp.S))))
+
+
+def _s_mask(cp: ClassPartition, sub) -> int:
+    """The S-index bitmask of the subset sub of S(lam)."""
+    return sum(itertools.compress(_s_bits(cp), map(sub.__contains__, cp.S)))
+
+
 def _p0_subsets(cp: ClassPartition):
-    """P(lam)_0 as subsets of S(lam) in :func:`_subsets_in_order` order; not
-    cached.  :func:`char_group` and the tableau sweep both walk it."""
-    S0 = frozenset(cp.S0)
-    return (a for a in _subsets_in_order(cp.S) if _meets_evenly(a, S0))
+    """P(lam)_0 in :func:`_subsets_in_order` order, each member as a pair
+    (subset, S-index bitmask); not cached.  :func:`char_group` and the
+    tableau sweep both walk it.
+
+    Every subset of S(lam) is drawn as a tuple of values and one of bits,
+    so the P(lam)_0 rule is a popcount and only the members become
+    frozensets.
+    """
+    S, bits = cp.S, _s_bits(cp)
+    # the bitmask of S_0(lam), as _s_mask reads it
+    s0 = sum(itertools.compress(bits, map(cp.S0.__contains__, S)))
+    for k in range(len(S) + 1):
+        masks = map(sum, itertools.combinations(bits, k))
+        for values, mask in zip(itertools.combinations(S, k), masks):
+            if not (mask & s0).bit_count() & 1:
+                yield frozenset(values), mask
 
 
 def _within_J(cp: ClassPartition, J) -> frozenset[int]:
@@ -250,7 +284,7 @@ def char_group(cp: ClassPartition) -> tuple[CharFn, ...]:
 
     Same order as :func:`full_group`, but only the members are built.
     """
-    return tuple(CharFn(cp, a) for a in _p0_subsets(cp))
+    return tuple(CharFn(cp, a) for a, _ in _p0_subsets(cp))
 
 
 def canonical_subsets(cp: ClassPartition) -> frozenset[frozenset[int]]:

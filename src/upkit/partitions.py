@@ -54,8 +54,11 @@ def _int_token(token):
 
 
 def _int_set(text):
-    """The integers of a set ``{a,b}``; braces optional, empty tokens skipped."""
-    body = text.strip().strip("{}")
+    """The integers of a set ``{a,b}``; one pair of braces or none, empty
+    tokens skipped.  A brace left inside fails as a token."""
+    body = text.strip()
+    if body[:1] == "{" and body[-1:] == "}":
+        body = body[1:-1]
     return frozenset(_int_token(tok) for tok in body.split(",") if tok.strip())
 
 

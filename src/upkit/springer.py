@@ -51,10 +51,15 @@ Sigma(O_lam, eps) holds exactly when P(lam, eps, Delta_G, tau_G) meets
 the family E^s_0, ..., E^s_n, at (Delta_G, tau_G) = (n + 1, 1) for
 s = +1 and (n + 1, 2n + 1) for s = -1.
 
-:func:`character_sweep` runs gamma and the tableau walk over every
-character of P(lam)_0 of one class in one pass, from per-class arrays
-that read a subset of S(lam) as an int bitmask; the theoremC and
-firstrow suites of :mod:`upkit.verify` read it.
+The index data of lam alone is one record per run of lam
+(:class:`_ClassIndex`).  Along a run D_eps is constant, gamma alternates
+between two values, and X_eps can change only at the run's first index,
+so gamma, D_eps and X_eps each cost one step per run, not per part, and
+the self-checks run on a run's first two entries, which every later one
+repeats.  :func:`character_sweep` runs gamma and the tableau walk over
+every character of P(lam)_0 of one class in one pass, reading each
+member with its S-index bitmask as :func:`components._p0_subsets` walks
+them; the theoremC and firstrow suites of :mod:`upkit.verify` read it.
 :func:`springer_data`, :func:`gamma_seq` and :func:`green_tableaux`
 serve one character at a time.
 """
@@ -66,7 +71,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .components import CharFn, _p0_subsets, block_classes
+from .components import CharFn, _p0_subsets, _s_bits, _s_mask, block_classes
 from .errors import BadParity, MalformedOutput, NotSpringerType
 from .partitions import ClassPartition, GroupType, Partition, classify
 from .wreps import Bipartition, e_family
@@ -132,18 +137,21 @@ class SpringerIndexData:
 class _ClassIndex(NamedTuple):
     """The part of the index data that depends on lam alone.
 
-    A subset of S(lam) is read as an S-index bitmask, ``bit[a]`` being
-    the bit of the value a (its place in S, ascending).  ``plus`` and
-    ``minus`` mask the values of weight +1 and -1 in D_eps, the weight
-    of a being [a in S_max] - [a in S_min].
+    A subset of S(lam) is read as its S-index bitmask
+    (:func:`components._s_bits`).  ``plus`` and ``minus`` mask the values
+    of weight +1 and -1 in D_eps, the weight of a being
+    [a in S_max] - [a in S_min].
 
-    ``rows[i-1] = (bit of lam_i, off, on)`` for i = 1..ell, where ``off``
-    and ``on`` apply when eps(lam_i) is 0 and 1.  Each is
-    ``(g, c, plus, w)``: gamma_i = g + c D_eps(i), with g = gtilde_i plus
-    the term (-1)^i m when eps(lam_i) = 1 and c = -2 s ebar(i); ``plus``
-    tells whether ebar(i) = +1; and D_eps(i) = D_eps(i-1) - w, where w
-    is the weight of lam_i at the first index of its run when
-    eps(lam_i) = 1, and 0 otherwise.
+    ``runs`` holds one record ``(b, i, r, w, off, on)`` per run of lam,
+    descending: b is the bit of the run's value, i its first index, r its
+    multiplicity, and w its weight.  D_eps is constant along a run:
+    D_eps(i) = D_eps(i-1) - w when eps is 1 on the run, D_eps(i-1)
+    otherwise.  ``off`` and ``on`` apply when eps is 0 and 1 on the run.
+    Each is ``(g, c, h, e, p, q, ep)``: gamma = g + c D_eps at the indices
+    of the parity of i and h + e D_eps at the others, where g and h are
+    gtilde plus the term (-1)^i m when eps is 1, and c and e are
+    -2 s ebar; p and q tell whether ebar = +1 at those two parities, and
+    ep masks the run's indices with ebar = +1, index k at bit k - 1.
     """
 
     base: ClassPartition
@@ -151,14 +159,9 @@ class _ClassIndex(NamedTuple):
     S_max: frozenset[int]
     S_min: frozenset[int]
     S0: frozenset[int]
-    bit: dict[int, int]
     plus: int
     minus: int
-    rows: tuple[tuple[int, tuple, tuple], ...]
-
-    def mask(self, sub) -> int:
-        """The S-index bitmask of the subset sub."""
-        return sum(map(self.bit.__getitem__, sub))
+    runs: tuple[tuple[int, int, int, int, tuple, tuple], ...]
 
     def defect0(self, mask: int) -> int:
         """D_eps(0) of the character with S-index bitmask mask."""
@@ -167,6 +170,8 @@ class _ClassIndex(NamedTuple):
 
 def _class_index(cp: ClassPartition) -> _ClassIndex:
     """The index data of lam alone, in one pass over its runs."""
+    if cp.bp:
+        raise BadParity(f"{cp.lam!r} is not of pure good parity")
     lam = cp.lam
     classes = block_classes(cp)
     smax = {theta[-1] for theta in classes}
@@ -180,15 +185,11 @@ def _class_index(cp: ClassPartition) -> _ClassIndex:
                 smin.discard(bottom[-1])
     s2 = 2 * cp.gt.s
     m_off, m_on = (-2, 0) if cp.gt.s == 1 else (1, -1)
-    S = cp.S
-    bit = {}
-    X, rows = [], []
+    X, runs = [], []
     plus = minus = 0
+    i = 1
     # lam is of good parity, so S descending lists the values of its runs
-    for j in reversed(range(len(S))):
-        a = S[j]
-        b = bit[a] = 1 << j
-        i = len(rows) + 1
+    for a, b in zip(reversed(cp.S), reversed(_s_bits(cp))):
         r = lam.count(a)
         X.append(i)
         w = (a in smax) - (a in smin)
@@ -198,18 +199,22 @@ def _class_index(cp: ClassPartition) -> _ClassIndex:
             minus |= b
         m = m_on if a in smin else m_off
         lo, hi = a // 2, (a + 1) // 2
-        # odd i: gtilde_i = floor(a/2), ebar(i) = +1 off eps;
-        # even i: gtilde_i = ceil(a/2), ebar(i) = +1 on eps
-        odd = (b, (lo, -s2, True, 0), (lo - m, s2, False, 0))
-        even = (b, (hi, s2, False, 0), (hi + m, -s2, True, 0))
-        this, other = (odd, even) if i % 2 else (even, odd)
-        # the run's value leaves D_eps at its first index; from there the
-        # parity of i alternates
-        rows.append((b, this[1], (*this[2][:3], w)))
-        rows += ((other, this) * r)[: r - 1]
+        span = ((1 << r) - 1) << (i - 1)
+        # the bits of the run's indices of the parity of i: i, i + 2, ...
+        first = ((1 << (r + 1 & ~1)) - 1) // 3 << (i - 1)
+        # at odd indices gtilde = floor(a/2) and ebar = +1 off eps, at
+        # even ones ceil(a/2) and ebar = +1 on eps
+        if i % 2:
+            off = (lo, -s2, hi, s2, 1, 0, first)
+            on = (lo - m, s2, hi + m, -s2, 0, 1, span ^ first)
+        else:
+            off = (hi, s2, lo, -s2, 0, 1, span ^ first)
+            on = (hi + m, -s2, lo - m, s2, 1, 0, first)
+        runs.append((b, i, r, w, off, on))
+        i += r
     return _ClassIndex(
         cp, tuple(X), frozenset(smax), frozenset(smin), frozenset(cp.S0),
-        bit, plus, minus, tuple(rows),
+        plus, minus, tuple(runs),
     )
 
 
@@ -226,16 +231,17 @@ def _signs(lam: Partition, sub) -> tuple[list[int], list[int], list[int]]:
     return ebar, e_plus, e_minus
 
 
-def x_eps(cp: ClassPartition, sub) -> tuple[int, ...]:
-    """X_eps of the character with subset sub: the indices i in X where
-    eps(lam_i) != eps(lam_{i-1}).  At an index outside X the part repeats
-    the one before it, so the test alone picks X_eps out of 1..ell."""
-    lam = cp.lam
-    return tuple(
-        i
-        for i in range(1, len(lam) + 1)
-        if (lam[i - 1] in sub) != (i > 1 and lam[i - 2] in sub)
-    )
+def x_eps(ci: _ClassIndex, mask: int) -> tuple[int, ...]:
+    """X_eps of the character with S-index bitmask mask: the first indices
+    i of the runs of lam where eps(lam_i) != eps(lam_{i-1}).  Inside a run
+    the part repeats the one before it, so only first indices qualify."""
+    out, before = [], 0
+    for b, i, *_ in ci.runs:
+        now = mask & b and 1
+        if now != before:
+            out.append(i)
+        before = now
+    return tuple(out)
 
 
 def springer_data(cp: ClassPartition, eps: CharFn) -> SpringerIndexData:
@@ -255,7 +261,7 @@ def springer_data(cp: ClassPartition, eps: CharFn) -> SpringerIndexData:
         e_plus=tuple(e_plus),
         e_minus=tuple(e_minus),
         X=ci.X,
-        X_eps=x_eps(cp, eps.subset),
+        X_eps=x_eps(ci, _s_mask(cp, eps.subset)),
         S_max=ci.S_max,
         S_min=ci.S_min,
     )
@@ -268,24 +274,24 @@ def defect(sd: SpringerIndexData, i: int) -> int:
     """D_eps(i); the index 0 uses the lam_0 > lam_1 convention."""
     if not 0 <= i <= sd.ell:
         raise ValueError(f"index {i} outside 0..{sd.ell}")
-    return _defects(sd._index, sd.eps.subset)[i]
+    return _defects(sd._index, _s_mask(sd.base, sd.eps.subset))[i]
 
 
-def _defects(ci: _ClassIndex, sub) -> list[int]:
-    """[D_eps(0), ..., D_eps(ell)].
+def _defects(ci: _ClassIndex, mask: int) -> list[int]:
+    """[D_eps(0), ..., D_eps(ell)] of the character with S-index bitmask
+    mask.
 
     D_eps(0) weighs every eps-value in S_max and S_min.  Going down lam,
     each one leaves the sum at the first index of its run, from where on
-    it is no longer below lam_i.  :func:`_gamma_core` takes the same
-    steps along its pass.
+    it is no longer below lam_i, so D_eps is constant along a run.
+    :func:`_gamma_core` takes the same steps along its pass.
     """
-    mask = ci.mask(sub)
     d = ci.defect0(mask)
     out = [d]
-    for b, _, on in ci.rows:
+    for b, _, r, w, _, _ in ci.runs:
         if mask & b:
-            d -= on[3]
-        out.append(d)
+            d -= w
+        out += [d] * r
     return out
 
 
@@ -326,44 +332,60 @@ def _zero_gate(ci: _ClassIndex, sub, i: int, a: int, d: int) -> None:
         )
 
 
-def _gamma_core(ci: _ClassIndex, sub):
-    """(e_plus, gamma) of the character of P(lam)_0 with subset sub, or
-    None when it is not of Springer type (D_eps(0) != 0); e_plus is a
-    bitmask, index i at bit i - 1.
+def _entry_gates(ci: _ClassIndex, sub, i: int, d: int, g: int, last: int, plus: int) -> None:
+    """The self-checks of gamma_i = g at D_eps(i) = d, in order: g is not
+    negative, a zero passes :func:`_zero_gate`, and g does not exceed
+    last, the entry before it of its sign (e_plus when plus is 1)."""
+    if g < 0:
+        raise MalformedOutput(f"gamma_{i} = {g} < 0 for {CharFn(ci.base, sub)!r}")
+    if g == 0 and -1 <= d <= 1:
+        _zero_gate(ci, sub, i, ci.base.lam[i - 1], d)
+    if g > last:
+        side = "e_plus" if plus else "e_minus"
+        raise MalformedOutput(
+            f"gamma not weakly decreasing along {side} at {i} for {CharFn(ci.base, sub)!r}"
+        )
 
-    One pass down lam builds both, D_eps(i) along with them.  Raises
-    MalformedOutput when a gamma_i is negative, carries a zero entry
+
+def _gamma_core(ci: _ClassIndex, sub, mask: int):
+    """(e_plus, gamma) of the character of P(lam)_0 with subset sub and
+    S-index bitmask mask, or None when it is not of Springer type
+    (D_eps(0) != 0); e_plus is a bitmask, index i at bit i - 1.
+
+    One pass down the runs of lam builds both, D_eps along with them.
+    Along a run D_eps is constant, so gamma alternates between the
+    values at the run's first two indices and every later entry repeats
+    the one two before it, of its own sign.  The self-checks of
+    :func:`_entry_gates` therefore run on those two entries only; they
+    raise MalformedOutput when a gamma_i is negative, carries a zero entry
     violating the zero-part constraints, or exceeds the entry before it
     of its sign -- all of which indicate a bug, never bad input.
     """
-    mask = ci.mask(sub)
     d = ci.defect0(mask)
     if d:
         return None
     e_plus, out = 0, []
-    last_plus = last_minus = math.inf
-    for i, (b, off, on) in enumerate(ci.rows, 1):
-        g, c, plus, w = on if mask & b else off
-        d -= w
-        g += c * d
-        if g < 0:
-            raise MalformedOutput(f"gamma_{i} = {g} < 0 for {CharFn(ci.base, sub)!r}")
-        if g == 0 and -1 <= d <= 1:
-            _zero_gate(ci, sub, i, ci.base.lam[i - 1], d)
-        if plus:
-            if g > last_plus:
-                raise MalformedOutput(
-                    f"gamma not weakly decreasing along e_plus at {i} for {CharFn(ci.base, sub)!r}"
-                )
-            last_plus = g
-            e_plus |= 1 << (i - 1)
+    # the last entry along e_minus and along e_plus
+    last = [math.inf, math.inf]
+    for b, i, r, w, off, on in ci.runs:
+        if mask & b:
+            d -= w
+            g, c, h, e, p, q, ep = on
         else:
-            if g > last_minus:
-                raise MalformedOutput(
-                    f"gamma not weakly decreasing along e_minus at {i} for {CharFn(ci.base, sub)!r}"
-                )
-            last_minus = g
-        out.append(g)
+            g, c, h, e, p, q, ep = off
+        e_plus |= ep
+        g += c * d
+        if g <= 0 or g > last[p]:
+            _entry_gates(ci, sub, i, d, g, last[p], p)
+        last[p] = g
+        if r == 1:
+            out.append(g)
+            continue
+        h += e * d
+        if h <= 0 or h > last[q]:
+            _entry_gates(ci, sub, i + 1, d, h, last[q], q)
+        last[q] = h
+        out += ((g, h) * ((r + 1) >> 1))[:r]
     return e_plus, tuple(out)
 
 
@@ -384,9 +406,10 @@ def _checked_core(sd: SpringerIndexData):
             f"{sd.eps!r} lies outside P(lam)_0; gamma is derived there"
         )
     ci = sd._index
-    core = _gamma_core(ci, sd.eps.subset)
+    mask = _s_mask(sd.base, sd.eps.subset)
+    core = _gamma_core(ci, sd.eps.subset, mask)
     if core is None:
-        d0 = _defects(ci, sd.eps.subset)[0]
+        d0 = ci.defect0(mask)
         raise NotSpringerType(f"D_eps(0) = {d0} != 0 for {sd.eps!r}")
     return core
 
@@ -610,32 +633,33 @@ def _e_pairs(gt: GroupType) -> frozenset:
     return frozenset((e.alpha, e.beta) for e in e_family(gt.s, gt.n))
 
 
-def character_sweep(cp: ClassPartition):
+def character_sweep(ci: _ClassIndex):
     """Every character of P(lam)_0 with its tableaux at (Delta_G, tau_G).
 
-    One pass over the class, building no :class:`CharFn` and no
-    :class:`SpringerIndexData`.  Yields ``(sub, first_rows, pairs,
-    spherical)`` per subset sub of S(lam) in P(lam)_0, walked by
-    :func:`components._p0_subsets` in :func:`char_group` order.  Off Springer type ``first_rows`` and
-    ``pairs`` are None and ``spherical`` is False.  Otherwise
-    ``first_rows`` is the set of first rows of R(lam, eps, Delta_G,
-    tau_G), ``pairs`` the distinct (alpha, beta) parts pairs of
-    P(lam, eps, Delta_G, tau_G) in walk order, and ``spherical`` tells
-    whether they meet the E^s family, as :func:`weakly_spherical` does.
-    Every gamma runs the self-checks of :func:`gamma_seq`.
+    One pass over the class of the index ci, which :func:`_class_index`
+    builds and refuses for a class with bad-parity parts; no
+    :class:`CharFn` and no :class:`SpringerIndexData` is built.  Yields
+    ``(sub, mask, first_rows, pairs, spherical)`` per member of P(lam)_0,
+    its subset sub of S(lam) and S-index bitmask mask as
+    :func:`components._p0_subsets` walks them, in :func:`char_group`
+    order.  Off Springer type ``first_rows`` and ``pairs`` are None and
+    ``spherical`` is False.  Otherwise ``first_rows`` is the set of first
+    rows of R(lam, eps, Delta_G, tau_G), ``pairs`` the distinct
+    (alpha, beta) parts pairs of P(lam, eps, Delta_G, tau_G) in walk
+    order, and ``spherical`` tells whether they meet the E^s family, as
+    :func:`weakly_spherical` does.  Every gamma runs the self-checks of
+    :func:`gamma_seq`.
     """
-    if cp.bp:
-        raise BadParity(f"{cp.lam!r} is not of pure good parity")
-    ci = _class_index(cp)
-    delta, tau = delta_tau(cp.gt)
-    family = _e_pairs(cp.gt)
-    for sub in _p0_subsets(cp):
-        core = _gamma_core(ci, sub)
+    gt = ci.base.gt
+    delta, tau = delta_tau(gt)
+    family = _e_pairs(gt)
+    for sub, mask in _p0_subsets(ci.base):
+        core = _gamma_core(ci, sub, mask)
         if core is None:
-            yield sub, None, None, False
+            yield sub, mask, None, None, False
             continue
         first_rows, pairs = _tableau_summary(*core, delta, tau)
-        yield sub, first_rows, pairs, not family.isdisjoint(pairs)
+        yield sub, mask, first_rows, pairs, not family.isdisjoint(pairs)
 
 
 def weakly_spherical_general(cp: ClassPartition, eps: CharFn) -> bool:

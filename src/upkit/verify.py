@@ -18,6 +18,8 @@ brute force ``enumerate_lparams_with_inf_char`` reaches none of
 
 from __future__ import annotations
 
+import itertools
+
 from .components import CharFn, _subsets_in_order, block_structure, canonical_subsets
 from .moeglin import arthur_character, merge_chains, tempered_intersection
 from .params import ENUM_BOUND, verify_almost_intro
@@ -28,7 +30,7 @@ from .partitions import (
     good_parity_classes,
 )
 from .pieces import bvls_dual, is_special, piece_data, special_closure, special_piece
-from .springer import character_sweep, delta_tau, leq_dominance, x_eps
+from .springer import _class_index, character_sweep, delta_tau, leq_dominance, x_eps
 from .wreps import Bipartition, bipartitions_of, e_rep, induce_table, invariant_dim, oracle_mult
 
 
@@ -140,13 +142,14 @@ def check_firstrow(gt: GroupType) -> int:
     checked = 0
     dt = delta_tau(gt)
     for cp in good_parity_classes(gt):
+        ci = _class_index(cp)
         indices = range(1, len(cp.lam) + 1)
-        for sub, first_rows, pairs, _ in character_sweep(cp):
+        for sub, mask, first_rows, pairs, _ in character_sweep(ci):
             if first_rows is None:
                 continue
-            xe = x_eps(cp, sub)
-            row = tuple(i for i in indices if i not in xe)
-            if any(r != row for r in first_rows):
+            row = tuple(itertools.filterfalse(x_eps(ci, mask).__contains__, indices))
+            # every sweep of a Springer-type character reaches a tableau
+            if first_rows != {row}:
                 raise VerificationFailed(
                     f"{_at(cp, CharFn(cp, sub))}: first row is not the complement of X_eps"
                 )
@@ -173,7 +176,7 @@ def check_theoremC(gt: GroupType) -> int:
     checked = 0
     for cp in good_parity_classes(gt):
         adag = canonical_subsets(cp)
-        for sub, _, _, spherical in character_sweep(cp):
+        for sub, _, _, _, spherical in character_sweep(_class_index(cp)):
             if spherical != (sub in adag):
                 raise VerificationFailed(
                     f"{_at(cp, CharFn(cp, sub))}: weak sphericity disagrees with the canonical subgroup"

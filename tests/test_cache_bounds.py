@@ -25,9 +25,13 @@ from upkit.verify import check_firstrow, check_theoremC, every_group
 UNBOUNDED = {
     # keyed by group type
     "upkit.springer._e_pairs",
+    # keyed by the run multiset left to cover
     "upkit.params._run_decompositions",
+    # keyed by the partitions lam, mu and nu of an LR coefficient
     "upkit.wreps._lr_count",
+    # keyed by sign and degree
     "upkit.wreps.e_family",
+    # keyed by degree
     "upkit.wreps._sym_table",
     "upkit.wreps._wn_table",
 }

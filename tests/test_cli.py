@@ -420,6 +420,23 @@ def test_bad_eps_length(capsys):
 
 
 @pytest.mark.parametrize(
+    "eps, message",
+    [
+        ("(1,3)", "parentheses hold a sign string of + and -, not '(1,3)'"),
+        ("(+-+", "unbalanced or doubled parentheses in '(+-+'"),
+        ("((+-+))", "unbalanced or doubled parentheses in '((+-+))'"),
+        ("{{1,3}}", "'{1' is not an integer"),
+    ],
+)
+def test_eps_brackets_wrap_once(capsys, eps, message):
+    # a sign string sits in one pair of parentheses or none, a set in one
+    # pair of braces or none; nothing else is read as either
+    code = main(["sphericity", "--dual", "B", "--partition", "5,3,1", "--eps", eps])
+    assert code == 2
+    assert capsys.readouterr().err == f"upkit: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv, key, value",
     [
         (["classes", "--dual", "C", "--N", "40"], "partition", "40"),

@@ -28,7 +28,10 @@ FLAGS = {
         "5,3,1", "3,1,1", "6,4,2", "4,4", "2^2,1", "3^3,2,1", "1^3", "12", "",
         "abc", "1_0", "5,1^-3,3,1", "٥,٣,١", "3^0", "2,,1",
     ],
-    "--eps": ["--+", "+", "-", "(-+)", "{1,3}", "{}", "{4}", "{1_0}", "--", "x", "x\ny", ""],
+    "--eps": [
+        "--+", "+", "-", "(-+)", "{1,3}", "{}", "{4}", "{1_0}", "--", "x", "x\ny", "",
+        "(1,3)", "(+-+", "((+-+))",
+    ],
     "--z": ["1", "-1", "2", "+1", "x"],
     "--J": ["{4}", "2", "{2,4}", "{}", "{0_4}", "x", ""],
     "--suite": ["all", "spc", "dprop", "js", "almost", "firstrow", "theoremC", "oracle", "nope"],

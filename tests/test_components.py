@@ -5,6 +5,9 @@ import pytest
 from upkit.components import (
     BlockStructure,
     CharFn,
+    _p0_subsets,
+    _s_mask,
+    _subsets_in_order,
     block_classes,
     block_structure,
     canonical_subgroup,
@@ -501,3 +504,16 @@ def test_iota_requires_membership():
         iota_embed(mu, lam, CharFn(lam, frozenset()))
     with pytest.raises(NotInPiece):
         iota_embed(B("3,3,3"), lam, CharFn(B("3,3,3"), frozenset()))
+
+
+def test_p0_walk_is_the_filtered_subset_walk():
+    # _p0_subsets draws the subsets of S(lam) in the order of
+    # _subsets_in_order on its own; it lists P(lam)_0 exactly as that
+    # walk filtered by the P(lam)_0 rule does, each member with its
+    # S-index bitmask, bit j for the j-th value of S(lam) ascending
+    for cp in both_types(18):
+        filtered = [a for a in _subsets_in_order(cp.S) if len(a & set(cp.S0)) % 2 == 0]
+        walked = list(_p0_subsets(cp))
+        assert [a for a, _ in walked] == filtered, cp
+        for a, mask in walked:
+            assert mask == _s_mask(cp, a) == sum(1 << cp.S.index(v) for v in a), (cp, a)

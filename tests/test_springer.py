@@ -7,6 +7,7 @@ import upkit.springer
 from upkit.cli import main
 from upkit.components import (
     CharFn,
+    _s_mask,
     block_structure,
     canonical_subgroup,
     char_group,
@@ -292,11 +293,12 @@ def test_sweep_matches_per_character_path():
         dt = delta_tau(cp.gt)
         ci = _class_index(cp)
         chars = char_group(cp)
-        swept = list(character_sweep(cp))
+        swept = list(character_sweep(ci))
         assert [sub for sub, *_ in swept] == [eps.subset for eps in chars], cp
-        for eps, (sub, first_rows, pairs, spherical) in zip(chars, swept):
+        for eps, (sub, mask, first_rows, pairs, spherical) in zip(chars, swept):
+            assert mask == _s_mask(cp, sub), (cp, eps)
             d = springer_data(cp, eps)
-            core = _gamma_core(ci, sub)
+            core = _gamma_core(ci, sub, mask)
             if _outcome(gamma_seq, d) is NotSpringerType:
                 assert core is None, (cp, eps)
                 assert (first_rows, pairs, spherical) == (None, None, False), (cp, eps)
@@ -304,14 +306,14 @@ def test_sweep_matches_per_character_path():
             plus, gam = core
             assert plus == sum(1 << (i - 1) for i in d.e_plus), (cp, eps)
             assert gam == gamma_seq(d), (cp, eps)
-            assert x_eps(cp, sub) == d.X_eps, (cp, eps)
+            assert x_eps(ci, mask) == d.X_eps, (cp, eps)
             tabs = green_tableaux(d, *dt)
             assert first_rows == {t.rows[0] for t in tabs}, (cp, eps)
             assert len(set(pairs)) == len(pairs)
             assert set(pairs) == {(t.alpha, t.beta) for t in tabs}, (cp, eps)
             assert spherical == weakly_spherical(d), (cp, eps)
     with pytest.raises(BadParity):
-        next(character_sweep(B("3,2,2")))
+        _class_index(B("3,2,2"))
 
 
 def _patch_result(monkeypatch, name, edit):
@@ -321,24 +323,52 @@ def _patch_result(monkeypatch, name, edit):
 
 
 def _set_gtilde(ci, i, value):
-    """ci with gtilde_i replaced by value, whether eps(lam_i) is 0 or 1."""
-    rows = list(ci.rows)
-    b, off, on = rows[i - 1]
-    rows[i - 1] = (b, (value, *off[1:]), (value, *on[1:]))
-    return ci._replace(rows=tuple(rows))
+    """ci with gtilde_i replaced by value, whether eps(lam_i) is 0 or 1.
+
+    i is the first or the second index of its run; every later index of
+    the run of i's parity repeats that entry and changes with it.
+    """
+    runs = list(ci.runs)
+    k = max(k for k, run in enumerate(runs) if run[1] <= i)
+    b, first, r, w, off, on = runs[k]
+    assert i - first in (0, 1) and i - first < r, (i, runs[k])
+    at = 2 * (i - first)
+    off, on = ((*entry[:at], value, *entry[at + 1:]) for entry in (off, on))
+    runs[k] = (b, first, r, w, off, on)
+    return ci._replace(runs=tuple(runs))
+
+
+def _sweep(cp):
+    return list(character_sweep(upkit.springer._class_index(cp)))
 
 
 def test_sweep_raises_on_negative_gamma(monkeypatch):
     _patch_result(monkeypatch, "_class_index", lambda ci: _set_gtilde(ci, 1, -5))
     with pytest.raises(MalformedOutput, match="gamma_1 = -5 < 0"):
-        list(character_sweep(B("5,3,1")))
+        _sweep(B("5,3,1"))
 
 
 def test_sweep_raises_when_gamma_rises_along_a_sign(monkeypatch):
     # the trivial character of B 5,3,1 has gamma (2,2,0) and e_plus (1,3)
     _patch_result(monkeypatch, "_class_index", lambda ci: _set_gtilde(ci, 3, 9))
     with pytest.raises(MalformedOutput, match="weakly decreasing along e_plus at 3"):
-        list(character_sweep(B("5,3,1")))
+        _sweep(B("5,3,1"))
+
+
+# C 6,4,4,4,2: the run of 4 covers the indices 2, 3 and 4, so index 3 is
+# the second entry of a run, which the kernel fills by repetition.  The
+# trivial character, walked first, has gamma (3,2,2,2,1) and e_plus (1,3,5).
+def test_sweep_raises_on_negative_gamma_inside_a_run(monkeypatch):
+    _patch_result(monkeypatch, "_class_index", lambda ci: _set_gtilde(ci, 3, -5))
+    with pytest.raises(MalformedOutput, match="gamma_3 = -5 < 0"):
+        _sweep(C("6,4,4,4,2"))
+
+
+def test_sweep_raises_when_gamma_rises_inside_a_run(monkeypatch):
+    # gamma_3 = 9 rises above gamma_1 = 3, the entry before it along e_plus
+    _patch_result(monkeypatch, "_class_index", lambda ci: _set_gtilde(ci, 3, 9))
+    with pytest.raises(MalformedOutput, match="weakly decreasing along e_plus at 3"):
+        _sweep(C("6,4,4,4,2"))
 
 
 def test_sweep_raises_without_an_admissible_row_start(monkeypatch):
@@ -349,7 +379,7 @@ def test_sweep_raises_without_an_admissible_row_start(monkeypatch):
 
     _patch_result(monkeypatch, "_gamma_core", sink)
     with pytest.raises(MalformedOutput, match="no admissible row start"):
-        list(character_sweep(B("5,3,1")))
+        _sweep(B("5,3,1"))
 
 
 # ----------------------------------------------------------------- defect
@@ -367,7 +397,8 @@ def test_defects_match_defect():
     for cp in pure_classes(20):
         for eps in full_group(cp):
             d = springer_data(cp, eps)
-            assert tuple(_defects(_class_index(cp), eps.subset)) == _ref_defects(d)
+            mask = _s_mask(cp, eps.subset)
+            assert tuple(_defects(_class_index(cp), mask)) == _ref_defects(d)
 
 
 def test_defect_index_range():
