@@ -54,12 +54,19 @@ def _int_token(token):
 
 
 def _int_set(text):
-    """The integers of a set ``{a,b}``; one pair of braces or none, empty
-    tokens skipped.  A brace left inside fails as a token."""
+    """The integers of a set ``{a,b}``; one pair of braces or none.  A
+    blank body (``{}``, ``{ }``, ``""``) is the empty set; an empty token
+    inside any other body (``{1,,3}``, ``1,3,``, ``{,}``) raises
+    ValueError, and a brace left inside fails as a token."""
     body = text.strip()
     if body[:1] == "{" and body[-1:] == "}":
         body = body[1:-1]
-    return frozenset(_int_token(tok) for tok in body.split(",") if tok.strip())
+    if not body.strip():
+        return frozenset()
+    tokens = body.split(",")
+    if not all(map(str.strip, tokens)):
+        raise ValueError(f"empty entry in the set {text!r}")
+    return frozenset(map(_int_token, tokens))
 
 
 # The largest |lam| that Partition.from_text reads; a larger text is
@@ -276,21 +283,24 @@ class ClassPartition:
     __slots__ = ("lam", "gt", "gp", "bp", "S", "S0")
 
     def __init__(self, runs, gt):
+        good_parity = gt.good_parity
         lam, gp, bp, S, S0 = [], [], [], [], []
         for v, m in runs:
             lam += [v] * m
-            if gt.good_parity(v):
+            if good_parity(v):
                 gp += [v] * m
                 S.append(v)
                 if m % 2:
                     S0.append(v)
             else:
                 bp += [v] * (m // 2)
-        lam = Partition._trusted(lam)
-        gp = lam if len(gp) == len(lam) else Partition._trusted(gp)
-        fields = (lam, gt, gp, Partition._trusted(bp), tuple(reversed(S)), tuple(reversed(S0)))
-        for name, value in zip(self.__slots__, fields):
-            object.__setattr__(self, name, value)
+        fill = object.__setattr__
+        fill(self, "lam", Partition._trusted(lam))
+        fill(self, "gt", gt)
+        fill(self, "gp", self.lam if len(gp) == len(lam) else Partition._trusted(gp))
+        fill(self, "bp", Partition._trusted(bp))
+        fill(self, "S", tuple(reversed(S)))
+        fill(self, "S0", tuple(reversed(S0)))
 
     def __setattr__(self, name, value):
         raise AttributeError("ClassPartition is immutable")
@@ -363,14 +373,19 @@ def _class_parts(gt, good_only):
     This is the subsequence of :func:`partitions_of` that :func:`classify`
     accepts, in the same order, without visiting the rejects.  Each class
     is built from the (value, multiplicity) runs chosen on the way down.
+
+    No branch ends without a class.  The least value a part may take is
+    2 for the good-parity classes of C and 1 otherwise, and it can fill
+    every remainder a branch leaves: a remainder of C is even, as 2 and
+    the even multiplicities of 1 need.  So that value closes each branch
+    by covering the whole remainder, and a larger value opens a deeper
+    frame only for a remainder that it leaves.
     """
+    least = 2 if good_only and gt.s == -1 else 1
     runs = []
 
     def rec(remaining, cap):
-        if remaining == 0:
-            yield ClassPartition(runs, gt)
-            return
-        for v in range(min(cap, remaining), 0, -1):
+        for v in range(min(cap, remaining), least, -1):
             good = gt.good_parity(v)
             if not good and good_only:
                 continue
@@ -378,9 +393,17 @@ def _class_parts(gt, good_only):
             top = remaining // v
             for m in range(top - top % step, 0, -step):
                 runs.append((v, m))
-                yield from rec(remaining - m * v, v - 1)
+                if m * v == remaining:
+                    yield ClassPartition(runs, gt)
+                else:
+                    yield from rec(remaining - m * v, v - 1)
                 runs.pop()
+        runs.append((least, remaining // least))
+        yield ClassPartition(runs, gt)
+        runs.pop()
 
+    if not gt.N:
+        return iter((ClassPartition((), gt),))
     return rec(gt.N, gt.N)
 
 

@@ -33,16 +33,17 @@ index k^u of any sign u satisfying
     gamma_{k^u} >= -u (Delta - tau * sum of ebar over prior row starts)
 
 or whose opposite sign is exhausted; both signs qualifying forks the
-enumeration.  The walk holds the unused indices of each sign as an int
-bitmask, so a step reads the lowest set bit above k, and it runs as a
-loop that keeps each fork's pools on a stack and takes the +1 branch
-first.  gamma summed along rows and routed by the sign of each row
-start yields the bipartition set P(lam, eps, Delta, tau).  gamma is
-derived on P(lam)_0 only, and a character outside it is refused with
-ValueError before its Springer type is asked.  A character of P(lam)_0
-that is not of Springer type carries no Springer representation and
-heads an empty P-set; it is never weakly spherical (the canonical
-subgroup consists of Springer-type characters only).
+enumeration.  The walk holds each row and the unused indices of each
+sign as an int bitmask, index i at bit i - 1, so a step reads the lowest
+set bit above k, and it runs as a loop that keeps each fork's pools on a
+stack and takes the +1 branch first.  gamma summed along rows and routed
+by the sign of each row start yields the bipartition set
+P(lam, eps, Delta, tau).  gamma is derived on P(lam)_0 only, and a
+character outside it is refused with ValueError before its Springer
+type is asked.  A character of P(lam)_0 that is not of Springer type
+carries no Springer representation and heads an empty P-set; it is
+never weakly spherical (the canonical subgroup consists of
+Springer-type characters only).
 
 The order Lambda_{Delta,tau} merges Delta + alpha_i - tau(i-1) with
 beta_i - tau(i-1), descending, and compares prefix sums; for fixed n a
@@ -59,7 +60,8 @@ the self-checks run on a run's first two entries, which every later one
 repeats.  :func:`character_sweep` runs gamma and the tableau walk over
 every character of P(lam)_0 of one class in one pass, reading each
 member with its S-index bitmask as :func:`components._p0_subsets` walks
-them; the theoremC and firstrow suites of :mod:`upkit.verify` read it.
+them; the theoremC and firstrow suites of :mod:`upkit.verify` read it,
+and firstrow compares its first rows with X_eps as index bitmasks.
 :func:`springer_data`, :func:`gamma_seq` and :func:`green_tableaux`
 serve one character at a time.
 """
@@ -231,16 +233,27 @@ def _signs(lam: Partition, sub) -> tuple[list[int], list[int], list[int]]:
     return ebar, e_plus, e_minus
 
 
-def x_eps(ci: _ClassIndex, mask: int) -> tuple[int, ...]:
-    """X_eps of the character with S-index bitmask mask: the first indices
-    i of the runs of lam where eps(lam_i) != eps(lam_{i-1}).  Inside a run
-    the part repeats the one before it, so only first indices qualify."""
-    out, before = [], 0
+def x_eps(ci: _ClassIndex, mask: int) -> int:
+    """X_eps of the character with S-index bitmask mask, as an index
+    bitmask (index i at bit i - 1): the first indices i of the runs of
+    lam where eps(lam_i) != eps(lam_{i-1}).  Inside a run the part
+    repeats the one before it, so only first indices qualify."""
+    out = before = 0
     for b, i, *_ in ci.runs:
         now = mask & b and 1
         if now != before:
-            out.append(i)
+            out |= 1 << (i - 1)
         before = now
+    return out
+
+
+def _indices(bits: int) -> tuple[int, ...]:
+    """The indices of an index bitmask, ascending: i for each bit i - 1."""
+    out = []
+    while bits:
+        b = bits & -bits
+        out.append(b.bit_length())
+        bits ^= b
     return tuple(out)
 
 
@@ -261,7 +274,7 @@ def springer_data(cp: ClassPartition, eps: CharFn) -> SpringerIndexData:
         e_plus=tuple(e_plus),
         e_minus=tuple(e_minus),
         X=ci.X,
-        X_eps=x_eps(ci, _s_mask(cp, eps.subset)),
+        X_eps=_indices(x_eps(ci, _s_mask(cp, eps.subset))),
         S_max=ci.S_max,
         S_min=ci.S_min,
     )
@@ -455,8 +468,9 @@ def _walk_tableaux(e_plus, gam, delta, tau, leaf) -> None:
     side.  The lists are the walker's own and change after ``leaf``
     returns.
 
-    Each pool of unused indices is an int bitmask, index i at bit i - 1,
-    so the minimal unused index above k is the lowest set bit of
+    Each row and each pool of unused indices is an int bitmask, index i
+    at bit i - 1, so a row takes an index with one ``|=`` and the
+    minimal unused index above k is the lowest set bit of
     ``pool >> k << k``.  ``e_plus`` is the +1 pool, as :func:`_gamma_core`
     gives it; the other indices 1..len(gam) make up the -1 pool, and a
     row alternates between the two pools.  The walk is a loop; a fork
@@ -466,7 +480,7 @@ def _walk_tableaux(e_plus, gam, delta, tau, leaf) -> None:
     pool_p = e_plus
     pool_m = ((1 << len(gam)) - 1) ^ e_plus
     start_sum = 0
-    rows: list[list[int]] = []
+    rows: list[int] = []
     alpha: list[int] = []
     beta: list[int] = []
     forks = []
@@ -499,8 +513,8 @@ def _walk_tableaux(e_plus, gam, delta, tau, leaf) -> None:
         mine, other = (pool_p, pool_m) if u == 1 else (pool_m, pool_p)
         b = mine & -mine
         mine ^= b
+        row = b
         k = b.bit_length()
-        row = [k]
         total = gam[k - 1]
         sign = u
         while True:
@@ -509,8 +523,8 @@ def _walk_tableaux(e_plus, gam, delta, tau, leaf) -> None:
                 break
             b = above & -above
             other ^= b
+            row |= b
             k = b.bit_length()
-            row.append(k)
             total += gam[k - 1]
             mine, other, sign = other, mine, -sign
         pool_p, pool_m = (mine, other) if sign == 1 else (other, mine)
@@ -522,7 +536,8 @@ def _walk_tableaux(e_plus, gam, delta, tau, leaf) -> None:
 def green_tableaux(
     sd: SpringerIndexData, delta: int, tau: int
 ) -> list[GreenTableau]:
-    """R(lam, eps, delta, tau), depth-first with the +1 branch explored first."""
+    """R(lam, eps, delta, tau), depth-first with the +1 branch explored
+    first; each row is the tuple of its indices, ascending."""
     if delta < 1 or tau < 1:
         raise ValueError("delta and tau must be positive integers")
     out: list[GreenTableau] = []
@@ -530,7 +545,7 @@ def green_tableaux(
     def close(rows, alpha, beta):
         out.append(
             GreenTableau(
-                rows=tuple(map(tuple, rows)),
+                rows=tuple(map(_indices, rows)),
                 params=(delta, tau),
                 alpha=Partition(alpha),
                 beta=Partition(beta),
@@ -612,14 +627,15 @@ def _parts(values) -> tuple[int, ...]:
 
 
 def _tableau_summary(e_plus, gam, delta, tau):
-    """The set of first rows of R(lam, eps, delta, tau) and the distinct
-    (alpha, beta) parts pairs of P(lam, eps, delta, tau), in walk order."""
+    """The set of first rows of R(lam, eps, delta, tau), each an index
+    bitmask (index i at bit i - 1), and the distinct (alpha, beta) parts
+    pairs of P(lam, eps, delta, tau), in walk order."""
     first_rows = set()
     pairs = {}
 
     def leaf(rows, alpha, beta):
         # the one tableau of the empty partition has no rows
-        first_rows.add(tuple(rows[0]) if rows else ())
+        first_rows.add(rows[0] if rows else 0)
         pairs[_parts(alpha), _parts(beta)] = None
 
     _walk_tableaux(e_plus, gam, delta, tau, leaf)
@@ -644,7 +660,8 @@ def character_sweep(ci: _ClassIndex):
     :func:`components._p0_subsets` walks them, in :func:`char_group`
     order.  Off Springer type ``first_rows`` and ``pairs`` are None and
     ``spherical`` is False.  Otherwise ``first_rows`` is the set of first
-    rows of R(lam, eps, Delta_G, tau_G), ``pairs`` the distinct
+    rows of R(lam, eps, Delta_G, tau_G), each an index bitmask (index i at
+    bit i - 1, as :func:`x_eps` gives X_eps), ``pairs`` the distinct
     (alpha, beta) parts pairs of P(lam, eps, Delta_G, tau_G) in walk
     order, and ``spherical`` tells whether they meet the E^s family, as
     :func:`weakly_spherical` does.  Every gamma runs the self-checks of

@@ -381,6 +381,34 @@ def test_integer_tokens_are_ascii_digits_only(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["membership", "--dual", "C", "--partition", "4^2,2^2", "--eps", "{}", "--J", "{1,,3}"],
+        ["sphericity", "--dual", "B", "--partition", "5,3,1", "--eps", "1,3,"],
+        ["membership", "--dual", "C", "--partition", "4^2,2^2", "--eps", "{}", "--J", "{,}"],
+    ],
+    ids=["J-doubled-comma", "eps-trailing-comma", "J-lone-comma"],
+)
+def test_empty_set_entry_is_usage_error(capsys, argv):
+    # skipping the empty token would read {1,3}, {1,3} and {} instead
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "empty entry" in captured.err
+
+
+@pytest.mark.parametrize("text", ["{ }", ""])
+def test_blank_set_is_empty(capsys, text):
+    # a blank body holds no empty entry; {} is covered with the --J tests
+    argv = ["membership", "--dual", "C", "--partition", "4^2,2^2", "--eps", text]
+    code, lines = run(capsys, *argv, "--J", text)
+    assert code == 0
+    record = json.loads(lines[0])
+    assert record["eps"] == [] and record["J"] == []
+
+
+@pytest.mark.parametrize(
     "text", ["3^2,1^99999999999", "99999999999", f"1^{MAX_PARSED_SIZE + 1}"]
 )
 def test_oversized_partition_is_usage_error(text):

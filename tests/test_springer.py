@@ -288,6 +288,11 @@ def test_fast_path_matches_per_character_reference():
             ), (cp, eps)
 
 
+def _bits(indices):
+    """The index bitmask of an index tuple, index i at bit i - 1."""
+    return sum(1 << (i - 1) for i in indices)
+
+
 def test_sweep_matches_per_character_path():
     for cp in pure_classes(24):
         dt = delta_tau(cp.gt)
@@ -304,14 +309,21 @@ def test_sweep_matches_per_character_path():
                 assert (first_rows, pairs, spherical) == (None, None, False), (cp, eps)
                 continue
             plus, gam = core
-            assert plus == sum(1 << (i - 1) for i in d.e_plus), (cp, eps)
+            assert plus == _bits(d.e_plus), (cp, eps)
             assert gam == gamma_seq(d), (cp, eps)
-            assert x_eps(ci, mask) == d.X_eps, (cp, eps)
+            # first rows and X_eps are index bitmasks on the sweep's side
+            assert x_eps(ci, mask) == _bits(d.X_eps), (cp, eps)
             tabs = green_tableaux(d, *dt)
-            assert first_rows == {t.rows[0] for t in tabs}, (cp, eps)
+            assert first_rows == {_bits(t.rows[0]) for t in tabs}, (cp, eps)
             assert len(set(pairs)) == len(pairs)
             assert set(pairs) == {(t.alpha, t.beta) for t in tabs}, (cp, eps)
             assert spherical == weakly_spherical(d), (cp, eps)
+    # ell = 0: the one tableau of C 0 has no rows, so its first row is 0
+    empty = C("")
+    ci = _class_index(empty)
+    [(sub, mask, first_rows, pairs, spherical)] = character_sweep(ci)
+    assert (sub, mask, first_rows) == (frozenset(), 0, {0})
+    assert x_eps(ci, mask) == 0 and springer_data(empty, CharFn(empty, sub)).X_eps == ()
     with pytest.raises(BadParity):
         _class_index(B("3,2,2"))
 
