@@ -26,7 +26,7 @@ from .components import (
     canonical_subgroup_order,
     char_group_order,
 )
-from .errors import BoundExceeded, MalformedOutput, NotSpringerType, UpkitError
+from .errors import BoundExceeded, NotSpringerType, UpkitError
 from .params import _check_z, _member_moves, packets_containing, weak_packet
 from .partitions import (
     DEFAULT_ENUMERATION_BOUND,
@@ -312,8 +312,10 @@ def _verify_cell(cell: tuple[str, int, int]) -> dict:
     try:
         record["checked"] = run_cell(suite, s, N)
         record["status"] = "pass"
-    except (VerificationFailed, MalformedOutput) as exc:
-        # a route's own consistency gate failing is a failed check too
+    except (VerificationFailed, UpkitError, ValueError) as exc:
+        # a cell's inputs are all generated, so a route's own consistency
+        # gate failing, or any domain error it raises, is a failed check
+        # too, not the end of the run
         record["checked"] = 0
         record["status"] = "fail"
         record["detail"] = str(exc)

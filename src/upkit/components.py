@@ -35,7 +35,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import NotCanonical, NotInJ, NotInPiece
-from .partitions import ClassPartition, Partition, _int_set, classify, difference, union
+from .partitions import ClassPartition, Partition, _int_set, cached_field, classify, difference, union
 
 __all__ = [
     "CharFn",
@@ -137,7 +137,7 @@ class BlockStructure:
     def special(self) -> bool:
         return not self.I_set
 
-    @functools.cached_property
+    @cached_field
     def blocks(self) -> tuple[Partition, ...]:
         """Cut on first read, since only ``class-info`` lists them; kept in
         ``__dict__``, out of the fields that equality and ``repr`` read."""

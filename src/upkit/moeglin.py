@@ -32,7 +32,6 @@ on good entries), the regime where the formulas above are closed-form.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -42,7 +41,7 @@ from operator import index
 from .components import CharFn, char_group, t_character
 from .errors import BoundExceeded, MalformedOutput, MoveNotApplicable
 from .params import ATable, near_tempered_table, tempered_table
-from .partitions import ClassPartition
+from .partitions import ClassPartition, cached_field
 
 __all__ = [
     "PHANTOM",
@@ -79,6 +78,15 @@ class TableChar:
         if extra:
             raise ValueError(f"entries {sorted(extra)} not in S(m)")
         object.__setattr__(self, "subset", subset)
+
+    @classmethod
+    def _trusted(cls, table: ATable, subset: frozenset) -> "TableChar":
+        """Build without validation, from a frozenset of (a, b) tuples
+        inside S(m)."""
+        eps = object.__new__(cls)
+        object.__setattr__(eps, "table", table)
+        object.__setattr__(eps, "subset", subset)
+        return eps
 
     def indicator(self, entry) -> int:
         return 1 if tuple(entry) in self.subset else 0
@@ -126,11 +134,22 @@ class MoeglinParam:
         if any(v not in (1, -1) for _, v in eta):
             raise ValueError("eta values must be +1 or -1")
 
-    @functools.cached_property
+    @classmethod
+    def _trusted(cls, table: ATable, l: tuple, eta: tuple) -> "MoeglinParam":
+        """Build without validation, from (index, value) tuples sorted by
+        index: l on exactly the good indices of the table, each value in
+        0..b/2, and eta of +1 or -1 on exactly R_l."""
+        mp = object.__new__(cls)
+        object.__setattr__(mp, "table", table)
+        object.__setattr__(mp, "l", l)
+        object.__setattr__(mp, "eta", eta)
+        return mp
+
+    @cached_field
     def _l_map(self) -> dict[int, int]:
         return {**dict(self.l), PHANTOM: 0} if self.table.gt.s == -1 else dict(self.l)
 
-    @functools.cached_property
+    @cached_field
     def _eta_map(self) -> dict[int, int]:
         return {**dict(self.eta), PHANTOM: 1} if self.table.gt.s == -1 else dict(self.eta)
 
@@ -182,7 +201,7 @@ class AdmissibleOrder:
         if not _admissible(self.table, order):
             raise ValueError(f"{order} violates the admissibility condition")
 
-    @functools.cached_property
+    @cached_field
     def _gamma_signs(self) -> dict[int, int]:
         """(-1)^{|Z_i|} at every index, in one pass: the entries with
         a_j = a_i + 1 before i, plus those with a_j = a_i - 1 after it."""
@@ -284,11 +303,13 @@ def arthur_character(ao: AdmissibleOrder, mp: MoeglinParam) -> TableChar:
         else:
             sign = gamma(ao, i)
         bits[(a, b)] = sign
+    # bits and the flip are keyed by good-parity entries of m, so both
+    # subsets lie in S(m)
     subset = frozenset(e for e, sign in bits.items() if sign == -1)
-    eps = TableChar(m, subset)
+    eps = TableChar._trusted(m, subset)
     if not eps.in_P0 and m.gt.s == 1:
         flip = frozenset(e for e in m.support_mf if e[0] * e[1] % 2)
-        eps = TableChar(m, subset ^ flip)
+        eps = TableChar._trusted(m, subset ^ flip)
     return eps
 
 
@@ -297,12 +318,14 @@ def _replace_entries(m: ATable, removed, added):
 
     Returns (table, old index -> new index, added position -> new index);
     the tagged stable sort matches ATable's own entry ordering, so the
-    maps are consistent with the new table.
+    maps are consistent with the new table.  The added good-parity
+    entries must have the dimension of the removed good-parity ones, as
+    a merge's do, so the table is built unvalidated.
     """
     tagged = [(e, 0, i) for i, e in enumerate(m.entries) if i not in removed]
     tagged += [(tuple(e), 1, r) for r, e in enumerate(added)]
     tagged.sort(key=lambda t: t[0])
-    table = ATable(tuple(e for e, _, _ in tagged), m.gt, m.z)
+    table = ATable._trusted(tuple(e for e, _, _ in tagged), m.gt, m.z)
     old2new, fresh = {}, {}
     for pos, (_, kind, i) in enumerate(tagged):
         (fresh if kind else old2new)[i] = pos
@@ -357,9 +380,11 @@ def merge_move(ao: AdmissibleOrder, mp: MoeglinParam, k: int):
         order = AdmissibleOrder(table, tuple(spliced))
     except ValueError:
         raise MoveNotApplicable("the spliced order is not admissible") from None
+    # the kept indices keep their b, l and eta, and the merged entry (b = 2)
+    # takes l = 0 and a sign, so the parameter is valid
     l = [(old2new[i], v) for i, v in mp.l if i not in removed] + [(star, 0)]
     eta = [(old2new[i], v) for i, v in mp.eta if i not in removed] + [(star, eta_left)]
-    return table, order, MoeglinParam(table, tuple(l), tuple(eta))
+    return table, order, MoeglinParam._trusted(table, tuple(sorted(l)), tuple(sorted(eta)))
 
 
 def tempered_intersection(cp: ClassPartition, J) -> tuple[CharFn, ...]:
@@ -380,7 +405,9 @@ def _tempered_param(ao: AdmissibleOrder, cp: ClassPartition, eps: CharFn) -> Moe
         raise ValueError(f"{eps!r} does not label a tempered member of {cp.lam!r}")
     m = ao.table
     gp = m.gp_indices
-    return MoeglinParam(
+    # every entry of a tempered table has b = 1, so R_l is every good
+    # index and l = 0, eta = +-1 there is a valid parameter
+    return MoeglinParam._trusted(
         m,
         tuple((i, 0) for i in gp),
         tuple((i, eps.sign(m.entries[i][0])) for i in gp),

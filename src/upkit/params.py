@@ -35,7 +35,7 @@ from .components import (
     t_character,
 )
 from .errors import BoundExceeded, MalformedOutput
-from .partitions import ClassPartition, GroupType, Partition, classify, difference
+from .partitions import ClassPartition, GroupType, Partition, cached_field, classify, difference
 from .pieces import bvls_dual, special_piece
 
 __all__ = [
@@ -99,26 +99,37 @@ class ATable:
             entry, m = next((e, m) for e, m in Counter(bad).items() if m % 2)
             raise ValueError(f"bad-parity entry {entry} has odd multiplicity {m}")
 
+    @classmethod
+    def _trusted(cls, entries: tuple[tuple[int, int], ...], gt: GroupType, z: int) -> "ATable":
+        """Build without validation, from sorted int entries whose
+        dimensions sum to gt.N, every bad-parity entry of even
+        multiplicity, and a z already checked against gt."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", entries)
+        object.__setattr__(m, "gt", gt)
+        object.__setattr__(m, "z", z)
+        return m
+
     def is_good(self, entry: tuple[int, int]) -> bool:
         a, b = entry
         return (a + b) % 2 == (0 if self.gt.s == 1 else 1)
 
-    @functools.cached_property
+    @cached_field
     def gp_indices(self) -> tuple[int, ...]:
         """Indices (into ``entries``) of the good-parity entries."""
         return tuple(i for i, e in enumerate(self.entries) if self.is_good(e))
 
-    @functools.cached_property
+    @cached_field
     def near_tempered(self) -> bool:
         """b in {1, 2} on every good-parity entry."""
         return all(self.entries[i][1] in (1, 2) for i in self.gp_indices)
 
-    @functools.cached_property
+    @cached_field
     def support(self) -> tuple[tuple[int, int], ...]:
         """S(m): the distinct good-parity entries, sorted."""
         return tuple(sorted({self.entries[i] for i in self.gp_indices}))
 
-    @functools.cached_property
+    @cached_field
     def support_mf(self) -> tuple[tuple[int, int], ...]:
         """S(m^mf): the good-parity entries of odd multiplicity."""
         counts = Counter(self.entries[i] for i in self.gp_indices)
@@ -201,10 +212,15 @@ def near_tempered_table(cp: ClassPartition, J, z: int = 1) -> ATable:
     Raises :class:`NotInJ` when J is not a subset of J(lam).
     """
     J = _within_J(cp, J)
+    z = _check_z(z, cp.gt)
+    # a c in J(lam) has bad parity and its neighbours good parity, so
+    # (c, 2) is a good entry whose dimension 2c is the sum of the parts it
+    # replaces, and the bad-parity parts of lam stay paired; index() refuses
+    # a float that equals a value of J(lam)
     removed = [v for c in J for v in _neighbours(c)]
     rest = difference(cp.lam, removed)
-    entries = [(a, 1) for a in rest] + [(c, 2) for c in J]
-    return ATable(tuple(entries), cp.gt, z)
+    entries = [(a, 1) for a in rest] + [(index(c), 2) for c in J]
+    return ATable._trusted(tuple(sorted(entries)), cp.gt, z)
 
 
 def tempered_table(cp: ClassPartition, z: int = 1) -> ATable:
@@ -215,10 +231,12 @@ def tempered_table(cp: ClassPartition, z: int = 1) -> ATable:
 def l_param_of_table(m: ATable) -> LParam:
     """Restrict the A-parameter to the Langlands SL2: each entry (a, b)
     spreads into b summands z q^{(2r - b + 1)/2} (x) nu_a."""
-    summands = [
-        (2 * r - b + 1, a) for a, b in m.entries for r in range(b)
-    ]
-    return LParam(m.z, tuple(summands))
+    summands = sorted([(2 * r - b + 1, a) for a, b in m.entries for r in range(b)])
+    # each entry spreads symmetrically about j2 = 0 and the table checked
+    # its z, so of LParam's rules only the positive k is left to check
+    if any(a < 1 for a, b in m.entries if b > 0):
+        raise ValueError("summand dimensions must be positive")
+    return LParam._trusted(m.z, tuple(summands))
 
 
 def inf_char(x) -> InfChar:
@@ -333,10 +351,11 @@ def _run_decompositions(remaining: tuple[int, ...]) -> frozenset:
     return frozenset(out)
 
 
-def _gated_covers(chi: InfChar, gt: GroupType) -> list[tuple]:
-    """The run covers of chi that are L-parameters of type gt, unordered.
-    Each must pass the self-dual gate, and is kept when its j2 = 0 summands
-    of the wrong symmetry (symplectic nu_k for s = +1, orthogonal for s = -1) pair up.
+def _gated_covers(chi: InfChar, gt: GroupType):
+    """Yield the run covers of chi that are L-parameters of type gt,
+    unordered, in one pass over the covers.  Each must pass the self-dual
+    gate, and is yielded when its j2 = 0 summands of the wrong symmetry
+    (symplectic nu_k for s = +1, orthogonal for s = -1) pair up.
 
     Raises :class:`BoundExceeded` when the dimension exceeds ENUM_BOUND.
     """
@@ -347,9 +366,7 @@ def _gated_covers(chi: InfChar, gt: GroupType) -> list[tuple]:
         raise BoundExceeded(f"N = {N} exceeds enumeration bound {ENUM_BOUND}")
     _check_z(chi.z, gt)
     wrong = 0 if gt.s == 1 else 1  # parity of the k whose nu_k has the wrong symmetry
-    covers = _run_decompositions(chi.eigen)
-    kept = []
-    for summands in covers:
+    for summands in _run_decompositions(chi.eigen):
         # a sorted self-dual cover equals its sorted mirror; passing this
         # gate is what lets the cover skip LParam's own validation (read
         # backwards, the mirror is nearly sorted already)
@@ -359,8 +376,7 @@ def _gated_covers(chi: InfChar, gt: GroupType) -> list[tuple]:
         # up when their list splits into equal neighbours
         ks = [k for j2, k in summands if j2 == 0 and k % 2 == wrong]
         if not ks or ks[0::2] == ks[1::2]:
-            kept.append(summands)
-    return kept
+            yield summands
 
 
 def enumerate_lparams_with_inf_char(chi: InfChar, gt: GroupType) -> list[LParam]:

@@ -41,6 +41,27 @@ __all__ = [
 ]
 
 
+class cached_field:
+    """A derived field of a value object, computed on first read and kept
+    in the instance ``__dict__``, out of the fields that equality, hashing
+    and ``repr`` read; later reads find it there and skip the descriptor.
+
+    ``functools.cached_property`` does the same, but before Python 3.12 it
+    takes a lock on every first read.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 _INT_TOKEN = re.compile(r"-?[0-9]+")
 
 

@@ -75,7 +75,7 @@ from typing import NamedTuple
 
 from .components import CharFn, _p0_subsets, _s_bits, _s_mask, block_classes
 from .errors import BadParity, MalformedOutput, NotSpringerType
-from .partitions import ClassPartition, GroupType, Partition, classify
+from .partitions import ClassPartition, GroupType, Partition, cached_field, classify
 from .wreps import Bipartition, e_family
 
 __all__ = [
@@ -128,7 +128,7 @@ class SpringerIndexData:
         """epsbar(i) for 0 <= i <= ell, with the ebar(0) := -1 convention."""
         return -1 if i == 0 else self.epsbar[i - 1]
 
-    @functools.cached_property
+    @cached_field
     def _index(self) -> "_ClassIndex":
         """The index data of lam, which :func:`springer_data` builds once
         and keeps in ``__dict__``, out of the fields that equality,

@@ -226,9 +226,10 @@ SUITES = (*CHECKS, "oracle")
 
 # The largest N (for the oracle: n) each suite runs at.  The oracle is
 # correct through wreps.ORACLE_BOUND = 6, and its n = 6 cell (1,029
-# checks) takes 0.26-0.41 s in a fresh process (five runs, 2-core x86_64,
-# Python 3.11.7); the bound stays 5 because perfbench/expected.json and
-# tests/test_cli.py pin the 792 oracle checks of a run through maxN >= 5.
+# checks) takes 0.21-0.31 s in a fresh process (five runs on a shared
+# 2-core x86_64 machine, Python 3.11.7); the bound stays 5 because
+# perfbench/expected.json and tests/test_cli.py pin the 792 oracle checks
+# of a run through maxN >= 5.
 BOUNDS = {suite: DEFAULT_ENUMERATION_BOUND for suite in CHECKS}
 BOUNDS["almost"] = ENUM_BOUND
 BOUNDS["oracle"] = 5

@@ -470,35 +470,24 @@ def _wn_table(n: int) -> dict:
     return table
 
 
-def oracle_mult(x: Bipartition, y: Bipartition) -> dict:
-    """Decompose ind_{W_i x W_{n-i}}^{W_n} x x y by raw character sums.
+@lru_cache(maxsize=None)
+def _fusion(i: int, j: int) -> tuple:
+    """How the classes of W_i x W_j fuse into those of W_n, n = i + j.
 
-    Returns the full table {target: multiplicity}, zeros dropped.  Works
-    entirely from the rational character tables of W_i, W_{n-i} and W_n
-    (no tableau rule is consulted), so it independently checks
-    induce_mult.  Degrees above ORACLE_BOUND raise :class:`BoundExceeded`
-    (|W_6| = 46080 is the largest group tabulated).
+    One pair (positions, sizes) per class of W_i, in :func:`_wn_classes`
+    order: for each class of W_j, in the same order, the position of the
+    fused W_n class in that order and the size of the product class
+    scaled by the order of W_i x W_j, so that it is an integer.  Depends
+    on the degrees alone, so it holds no character value.
     """
-    n = x.n + y.n
-    if n > ORACLE_BOUND:
-        raise BoundExceeded(f"oracle limited to n <= {ORACLE_BOUND}, got {n}")
-    table = _wn_table(n)
-    chi_x = _wn_table(x.n)[x]
-    chi_y = _wn_table(y.n)[y]
-    # <x x y, res target> over W_i x W_{n-i}, class by class, scaled by the
-    # group order so that every weight (character times class size) is an
-    # integer.  Pieces that fuse to the same W_n class are merged at that
-    # class's position in the table's rows, which all list the classes in
-    # one order, so each multiplicity is one integer dot product.
-    position = {cls: p for p, cls in enumerate(next(iter(table.values())))}
-    order = 2**n * math.factorial(x.n) * math.factorial(y.n)
-    weights = [0] * len(position)
-    ys = [(rp, rm, _zwn(rp, rm), v) for (rp, rm), v in chi_y.items() if v]
-    for (rp1, rm1), v1 in chi_x.items():
-        if not v1:
-            continue
+    position = {cls: p for p, cls in enumerate(_wn_classes(i + j))}
+    order = 2 ** (i + j) * math.factorial(i) * math.factorial(j)
+    ys = [(rp, rm, _zwn(rp, rm)) for rp, rm in _wn_classes(j)]
+    rows = []
+    for rp1, rm1 in _wn_classes(i):
         z1 = _zwn(rp1, rm1)
-        for rp2, rm2, z2, v2 in ys:
+        positions, sizes = [], []
+        for rp2, rm2, z2 in ys:
             size, rem = divmod(order, z1 * z2)
             if rem:
                 raise MalformedOutput("centralizer order does not divide the group order")
@@ -506,7 +495,42 @@ def oracle_mult(x: Bipartition, y: Bipartition) -> dict:
                 tuple(sorted(rp1 + rp2, reverse=True)),
                 tuple(sorted(rm1 + rm2, reverse=True)),
             )
-            weights[position[fused]] += v1 * v2 * size
+            positions.append(position[fused])
+            sizes.append(size)
+        rows.append((tuple(positions), tuple(sizes)))
+    return tuple(rows)
+
+
+def oracle_mult(x: Bipartition, y: Bipartition) -> dict:
+    """Decompose ind_{W_i x W_{n-i}}^{W_n} x x y by raw character sums.
+
+    Returns the full table {target: multiplicity}, zeros dropped.  Works
+    entirely from the rational character tables of W_i, W_{n-i} and W_n
+    (no tableau rule is consulted), so it independently checks
+    induce_mult.  The class fusion of W_i x W_{n-i} into W_n and the class
+    sizes are built once per degree pair (:func:`_fusion`); the character
+    values are read from the tables on every call.  Degrees above
+    ORACLE_BOUND raise :class:`BoundExceeded` (|W_6| = 46080 is the
+    largest group tabulated).
+    """
+    i, j = x.n, y.n
+    n = i + j
+    if n > ORACLE_BOUND:
+        raise BoundExceeded(f"oracle limited to n <= {ORACLE_BOUND}, got {n}")
+    table = _wn_table(n)
+    chi_y = tuple(_wn_table(j)[y].values())
+    # <x x y, res target> over W_i x W_{n-i}, class by class, scaled by the
+    # group order so that every weight (character times class size) is an
+    # integer.  Pieces that fuse to the same W_n class are merged at that
+    # class's position in the table's rows, which all list the classes in
+    # _wn_classes order, so each multiplicity is one integer dot product.
+    # W_n has as many classes as irreducibles.
+    weights = [0] * len(table)
+    for v1, (positions, sizes) in zip(_wn_table(i)[x].values(), _fusion(i, j)):
+        if v1:
+            for p, w in zip(positions, map(operator.mul, sizes, chi_y)):
+                weights[p] += v1 * w
+    order = 2**n * math.factorial(i) * math.factorial(j)
     out = {}
     for target, chi in table.items():
         mult, rem = divmod(sum(map(operator.mul, weights, chi.values())), order)

@@ -1,8 +1,8 @@
 """Every lru_cache in upkit has the one bound, except the ones listed here.
 
 An unbounded cache grows with every class a sweep visits.  The caches in
-``UNBOUNDED`` are keyed by group types, degrees, bipartitions and run
-multisets, not by classes; every other cache has the bound
+``UNBOUNDED`` are keyed by group types, degrees, degree pairs,
+bipartitions and run multisets, not by classes; every other cache has the bound
 ``CLASS_CACHE_SIZE``, so a new cache cannot bring a bound of its own.
 """
 
@@ -34,6 +34,8 @@ UNBOUNDED = {
     # keyed by degree
     "upkit.wreps._sym_table",
     "upkit.wreps._wn_table",
+    # keyed by the degree pair (i, n - i) of an induction W_i x W_{n-i} -> W_n
+    "upkit.wreps._fusion",
 }
 
 CLASS_KEYED = {

@@ -18,7 +18,7 @@ import upkit.pieces
 import upkit.springer
 from upkit import verify, wreps
 from upkit.cli import A_DAGGER_BOUND, _verify_cell, main
-from upkit.errors import MalformedOutput
+from upkit.errors import MalformedOutput, MoveNotApplicable
 from upkit.params import tempered_table
 from upkit.partitions import MAX_PARSED_SIZE, GroupType, Partition
 
@@ -626,6 +626,21 @@ def test_verify_records_broken_merge_route_as_fail(capsys, monkeypatch):
     assert rows[-1]["record"] == "summary" and rows[-1]["status"] == "fail"
 
 
+def test_verify_records_a_route_domain_error_as_fail(capsys, monkeypatch):
+    # a cell's inputs are all generated, so a domain error out of a route,
+    # here a merge refused, is a failed check with its message, not exit 3
+    def refused(ao, mp, k):
+        raise MoveNotApplicable("merging entries must carry opposite signs")
+
+    monkeypatch.setattr(upkit.moeglin, "merge_move", refused)
+    code, lines = run(capsys, "verify", "--suite", "js", "--maxN", "6")
+    assert code == 4
+    rows = [json.loads(ln) for ln in lines]
+    assert [r["status"] for r in rows[:-1]] == ["pass"] * 3 + ["fail"] * 3
+    assert all(r["detail"] == "merging entries must carry opposite signs" for r in rows[3:-1])
+    assert rows[-1]["record"] == "summary" and rows[-1]["status"] == "fail"
+
+
 def test_verify_records_broken_zero_gate_as_fail(capsys, monkeypatch):
     # theoremC reaches gamma's zero-part gate in every cell through N = 8
     # but C2, whose one class (2) has gamma = (1)
@@ -683,7 +698,10 @@ def test_verify_cell_fails_on_one_zero_gate_in_the_sweep(monkeypatch, suite):
 
 
 def test_verify_records_broken_oracle_as_fail(capsys, monkeypatch):
-    # one wrong W_3 character value trips the oracle's integrality gate
+    # one wrong W_3 character value trips the oracle's integrality gate,
+    # also after a clean run has filled every cache the oracle keeps
+    code, lines = run(capsys, "verify", "--suite", "oracle", "--maxN", "3")
+    assert code == 0
     real = wreps._wn_table
 
     def corrupted(n):

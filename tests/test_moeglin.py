@@ -4,7 +4,7 @@ import json
 import pytest
 
 from upkit import verify
-from upkit.components import CharFn, block_structure, char_group
+from upkit.components import CharFn, _subsets_in_order, block_structure, char_group
 from upkit.errors import BoundExceeded, MoveNotApplicable, NotInJ
 from upkit.moeglin import (
     AdmissibleOrder,
@@ -14,12 +14,20 @@ from upkit.moeglin import (
     arthur_character,
     gamma,
     merge_chain,
+    merge_chains,
     merge_move,
     moeglin_params,
     standard_order,
     tempered_intersection,
 )
-from upkit.params import ATable, InfChar, LParam, near_tempered_table, tempered_table
+from upkit.params import (
+    ATable,
+    InfChar,
+    LParam,
+    l_param_of_table,
+    near_tempered_table,
+    tempered_table,
+)
 from upkit.partitions import GroupType, Partition, classify, enumerate_classes
 
 
@@ -598,3 +606,35 @@ def test_js_builds_one_intersection_per_J(monkeypatch):
     monkeypatch.setattr(verify, "tempered_intersection", counted)
     assert verify.check_js(GroupType(-1, 8)) == 48
     assert len(calls) == len(set(calls)) == 18
+
+
+def _same(built, checked):
+    # equal, and with fields of the same types: repr tells 1 from True
+    return type(built) is type(checked) and built == checked and repr(built) == repr(checked)
+
+
+def test_trusted_builds_match_the_validating_constructors():
+    # every input of the js suite through N = 16: the near-tempered tables,
+    # the tempered parameters, the tables and parameters of each merge and
+    # the Arthur characters, built without validation, are the values the
+    # public constructors accept and build
+    checked = 0
+    for cp in both_types(16):
+        for z in (1,) if cp.gt.s == 1 else (1, -1):
+            chain = merge_chains(cp, z)
+            for J in _subsets_in_order(block_structure(cp).J_set):
+                target = near_tempered_table(cp, J, z)
+                assert _same(target, ATable(target.entries, target.gt, target.z)), (cp, J)
+                phi = l_param_of_table(target)
+                assert _same(phi, LParam(phi.z, phi.summands)), (cp, J)
+                for eps in tempered_intersection(cp, J):
+                    # J = {} is the tempered parameter, else the last merge's
+                    m, ao, p = chain(eps, J)
+                    assert _same(m, ATable(m.entries, m.gt, m.z)), (cp, eps, J)
+                    assert _same(p, MoeglinParam(m, p.l, p.eta)), (cp, eps, J)
+                    ch = arthur_character(ao, p)
+                    # a frozenset's repr follows its insertion order
+                    assert ch == TableChar(m, ch.subset), (cp, eps, J)
+                    assert all(type(v) is int for e in ch.subset for v in e)
+                    checked += 1
+    assert checked == sum(verify.check_js(gt) for gt in verify.every_group(16))

@@ -98,6 +98,15 @@ def test_l_param_fixture():
     ]
 
 
+def test_l_param_of_table_refuses_nonpositive_parts():
+    # a valid table may hold the bad-parity pairs (0, 1) or (-1, 1); the
+    # spread refuses the nu_k with k < 1 as LParam itself does
+    for entries in [((0, 1), (0, 1), (3, 1)), ((-1, 1), (-1, 1), (5, 1))]:
+        m = ATable(entries, GroupType(1, 3), 1)
+        with pytest.raises(ValueError, match="summand dimensions must be positive"):
+            l_param_of_table(m)
+
+
 def test_l_param_validation():
     with pytest.raises(ValueError):
         LParam(1, ((1, 2), (-2, 1)))  # not self-dual

@@ -236,6 +236,8 @@ def test_value_types_copy_and_pickle():
     # a table, an order and a parameter with their memos filled
     m, ao, mp = merge_chain(cp, CharFn(cp, frozenset({1, 3})), {4})
     arthur_character(ao, mp)
+    # the chain builds its characters unvalidated, so nothing reads S(m)
+    m.support
     assert {"gp_indices", "near_tempered", "support", "support_mf"} <= vars(m).keys()
     assert "_gamma_signs" in vars(ao) and {"_l_map", "_eta_map"} <= vars(mp).keys()
     values = [

@@ -1,4 +1,5 @@
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from upkit.errors import BoundExceeded
 from upkit.partitions import Partition, partitions_of, union
 from upkit.wreps import (
+    ORACLE_BOUND,
     Bipartition,
     bipartitions_of,
     dim_bipartition,
@@ -131,6 +133,48 @@ def test_oracle_matches_induce_grid_small():
                     assert oracle_mult(x, y) == induce_table(x, y), (x, y)
                     checked += 1
     assert checked == 164
+
+
+def _ref_oracle_mult(x, y):
+    """oracle_mult as it fused the classes on every call: each pair of
+    classes of W_i x W_{n-i} is sized and fused to its W_n class anew."""
+    n = x.n + y.n
+    table = _wn_table(n)
+    chi_x = _wn_table(x.n)[x]
+    chi_y = _wn_table(y.n)[y]
+    position = {cls: p for p, cls in enumerate(next(iter(table.values())))}
+    order = 2**n * math.factorial(x.n) * math.factorial(y.n)
+    weights = [0] * len(position)
+    for (rp1, rm1), v1 in chi_x.items():
+        for (rp2, rm2), v2 in chi_y.items():
+            size, rem = divmod(order, _zwn(rp1, rm1) * _zwn(rp2, rm2))
+            assert rem == 0
+            fused = (
+                tuple(sorted(rp1 + rp2, reverse=True)),
+                tuple(sorted(rm1 + rm2, reverse=True)),
+            )
+            weights[position[fused]] += v1 * v2 * size
+    out = {}
+    for target, chi in table.items():
+        mult, rem = divmod(sum(map(operator.mul, weights, chi.values())), order)
+        assert rem == 0 and mult >= 0
+        if mult:
+            out[target] = mult
+    return out
+
+
+def test_oracle_matches_per_pair_fusion():
+    # the fusion built once per degree pair, against the fusion built per
+    # pair of bipartitions, on every pair the oracle accepts
+    checked = 0
+    for n in range(ORACLE_BOUND + 1):
+        for i in range(n + 1):
+            ys = list(bipartitions_of(n - i))
+            for x in bipartitions_of(i):
+                for y in ys:
+                    assert oracle_mult(x, y) == _ref_oracle_mult(x, y), (x, y)
+                    checked += 1
+    assert checked == 990
 
 
 def test_oracle_trivial_and_sign():
