@@ -206,13 +206,14 @@ class AdmissibleOrder:
         """(-1)^{|Z_i|} at every index, in one pass: the entries with
         a_j = a_i + 1 before i, plus those with a_j = a_i - 1 after it."""
         a_of = [self.table.entries[i][0] for i in self.order]
+        # get(), since a Counter answers a missing key through a Python call
         after = Counter(a_of)
-        before = Counter()
+        before = {}
         signs = {}
         for i, a in zip(self.order, a_of):
             after[a] -= 1
-            signs[i] = -1 if (before[a + 1] + after[a - 1]) % 2 else 1
-            before[a] += 1
+            signs[i] = -1 if (before.get(a + 1, 0) + after.get(a - 1, 0)) % 2 else 1
+            before[a] = before.get(a, 0) + 1
         return signs
 
     @property
